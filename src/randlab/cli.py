@@ -9,9 +9,10 @@ string spelled ``-`` on the command line, in files, and in report cells.
 Exact dyadic cells render as reduced fractions over powers of two; decimal
 columns are annotations (dyadic decimals terminate, so they are exact too).
 
-Exit status: 0 on success, 1 on domain errors and definite failures (Kraft
-overflow, bridge mass violations, failed test levels, exhausted searches),
-2 on usage errors.
+Exit status: 0 on success, 1 on domain errors, definite failures (Kraft
+overflow, bridge mass violations, failed test levels, exhausted searches)
+and unreadable or unwritable files, 2 on usage errors (including negative
+budgets, stages, depths, limits and counts).
 """
 
 from __future__ import annotations
@@ -393,6 +394,16 @@ def _bits_arg(text: str) -> str:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _count_arg(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative: {value}")
+    return value
+
+
 def _lengths_arg(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part]
@@ -411,10 +422,10 @@ def _test_names_arg(text: str) -> list[str]:
 
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    common.add_argument("--len-limit", dest="len_limit", type=int, default=DEFAULT_LEN_LIMIT)
-    common.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    common.add_argument("--stage", type=int, default=DEFAULT_STAGE)
+    common.add_argument("--budget", type=_count_arg, default=DEFAULT_BUDGET)
+    common.add_argument("--len-limit", dest="len_limit", type=_count_arg, default=DEFAULT_LEN_LIMIT)
+    common.add_argument("--depth", type=_count_arg, default=DEFAULT_DEPTH)
+    common.add_argument("--stage", type=_count_arg, default=DEFAULT_STAGE)
     common.add_argument("--out", default=None)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     return common
@@ -431,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enum", parents=[_common_flags()], help="length-lex enumeration rows")
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--count", type=_count_arg, required=True)
     p.set_defaults(handler=_cmd_enum)
 
     p = sub.add_parser("pfz", help="reduce a set to its covering antichain")
@@ -453,10 +464,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complexity", help="budgeted complexity reports")
     csub = p.add_subparsers(dest="subcommand", required=True)
     q = csub.add_parser("scan", parents=[_common_flags()], help="C_t/K_t bounds for short strings")
-    q.add_argument("--max-len", dest="max_len", type=int, default=4)
+    q.add_argument("--max-len", dest="max_len", type=_count_arg, default=4)
     q.set_defaults(handler=_cmd_complexity_scan)
     q = csub.add_parser("census", parents=[_common_flags()], help="incompressible string counts")
-    q.add_argument("--max-n", dest="max_n", type=int, default=8)
+    q.add_argument("--max-n", dest="max_n", type=_count_arg, default=8)
     q.set_defaults(handler=_cmd_complexity_census)
     q = csub.add_parser("pad", parents=[_common_flags()], help="pad-compressed stream prefixes")
     q.add_argument("--stream", choices=sorted(STREAMS), default="zeros")
@@ -464,10 +475,10 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(handler=_cmd_complexity_pad, len_limit=PAD_SCAN_LIMIT)
     q = csub.add_parser("horizon", parents=[_common_flags()], help="compressible-prefix horizon")
     q.add_argument("--k", type=int, required=True)
-    q.add_argument("--max-m", dest="max_m", type=int, default=6)
+    q.add_argument("--max-m", dest="max_m", type=_count_arg, default=6)
     q.set_defaults(handler=_cmd_complexity_horizon)
     q = csub.add_parser("subadd", parents=[_common_flags()], help="pairing constants and gaps")
-    q.add_argument("--max-n", dest="max_n", type=int, default=3)
+    q.add_argument("--max-n", dest="max_n", type=_count_arg, default=3)
     q.set_defaults(handler=_cmd_complexity_subadd)
 
     p = sub.add_parser("omega", parents=[_common_flags()], help="halting-mass lower bounds")
@@ -478,14 +489,14 @@ def _build_parser() -> argparse.ArgumentParser:
     msub = p.add_subparsers(dest="subcommand", required=True)
     q = msub.add_parser("validate", parents=[_common_flags()], help="per-level measure verdicts")
     q.add_argument("--test", choices=test_names, required=True)
-    q.add_argument("--levels", type=int, default=3)
+    q.add_argument("--levels", type=_count_arg, default=3)
     q.set_defaults(handler=_cmd_mltest_validate)
     q = msub.add_parser("convert", parents=[_common_flags()], help="materialized sense-2 levels")
     q.add_argument("--test", choices=test_names, required=True)
-    q.add_argument("--levels", type=int, default=3)
+    q.add_argument("--levels", type=_count_arg, default=3)
     q.set_defaults(handler=_cmd_mltest_convert)
     q = msub.add_parser("universal", parents=[_common_flags()], help="battery-universal cover")
-    q.add_argument("--level", type=int, default=1)
+    q.add_argument("--level", type=_count_arg, default=1)
     q.add_argument(
         "--tests",
         type=_test_names_arg,
@@ -497,7 +508,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(handler=_cmd_mltest_score, len_limit=DEFAULT_K_LEN_LIMIT)
     q = msub.add_parser("bridge", parents=[_common_flags()], help="Kraft decoder for test slices")
     q.add_argument("--test", choices=test_names, required=True)
-    q.add_argument("--n-max", dest="n_max", type=int, default=2)
+    q.add_argument("--n-max", dest="n_max", type=_count_arg, default=2)
     q.set_defaults(handler=_cmd_mltest_bridge)
 
     return parser
@@ -511,7 +522,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"randlab: {exc}", file=sys.stderr)
         return 1
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
-from .bitstr import all_strings, string_to_index
+from .bitstr import _check_bits, all_strings, string_to_index
 from .machine import (
     DEFAULT_BUDGET,
     DEFAULT_LEN_LIMIT,
@@ -44,7 +44,10 @@ class ComplexityBound:
 
     `exhaustive` is True when every shorter program either halted (with some
     other output) or was certified diverging, so no larger budget can ever
-    produce a shorter witness and `value` is the true complexity.
+    produce a shorter witness and `value` is the true complexity.  It is read
+    off the witness table's frontier, the first program in length-lex order
+    left unresolved at the budget: the bound is exhaustive exactly when that
+    program is no shorter than the witness.
     """
 
     value: int
@@ -110,44 +113,52 @@ def registry_constants() -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-def _check_target(b: str) -> str:
-    if any(c not in "01" for c in b):
-        raise ValueError(f"not a bit string: {b!r}")
-    return b
-
-
 def _programs(len_limit: int):
     return all_strings(len_limit) if len_limit >= 0 else iter(())
 
 
-# first-witness tables are memoized per machine configuration
-_TABLES: dict[tuple, dict[str, str]] = {}
+# first-witness tables are memoized per machine configuration, each with its
+# frontier: the first program in length-lex order left unresolved at the
+# budget, or None when every program up to len_limit resolved
+_TABLES: dict[tuple, tuple[dict[str, str], str | None]] = {}
 
 
-def _witness_table(prefix: bool, len_limit: int, budget: int) -> dict[str, str]:
+def _witness_table(prefix: bool, len_limit: int, budget: int) -> tuple[dict, str | None]:
     key = (prefix, len_limit, budget, registry_fingerprint())
-    table = _TABLES.get(key)
-    if table is None:
+    entry = _TABLES.get(key)
+    if entry is None:
         runner = prefix_universal_run if prefix else universal_run
-        table = {}
+        classify = prefix_universal_status if prefix else universal_status
+        table: dict[str, str] = {}
+        frontier = None
         for p in _programs(len_limit):
             out = runner(p, budget, len_limit)
-            if out.halted and out.output not in table:
-                table[out.output] = p
-        _TABLES[key] = table
-    return table
+            if out.halted:
+                table.setdefault(out.output, p)
+            elif frontier is None and classify(p, budget, len_limit) == "unresolved":
+                frontier = p
+        entry = _TABLES[key] = (table, frontier)
+    return entry
 
 
 def _bound(b: str, prefix: bool, len_limit: int, budget: int) -> ComplexityBound | None:
-    witness = _witness_table(prefix, len_limit, budget).get(_check_target(b))
+    table, frontier = _witness_table(prefix, len_limit, budget)
+    witness = table.get(_check_bits(b))
     if witness is None:
         return None
-    classify = prefix_universal_status if prefix else universal_status
-    exhaustive = all(
-        classify(p, budget, len_limit) != "unresolved"
-        for p in _programs(len(witness) - 1)
-    )
+    exhaustive = frontier is None or len(frontier) >= len(witness)
     return ComplexityBound(len(witness), witness, budget, len_limit, exhaustive)
+
+
+def _compressible(
+    prefix: bool, k: int, max_len: int, len_limit: int, budget: int
+) -> frozenset[str]:
+    """Strings b with |b| <= max_len whose witness (V when `prefix`, else U)
+    is at least k shorter than b, read from the witness table."""
+    table, _ = _witness_table(prefix, len_limit, budget)
+    return frozenset(
+        s for s, w in table.items() if len(s) <= max_len and len(w) <= len(s) - k
+    )
 
 
 def plain_c(
@@ -210,13 +221,13 @@ def pad_witness(
         raise ValueError("k must be nonnegative")
     overhead = (REG_PAD + 1) + (REG_IDENTITY + 1)
     for length in range(k + 4, len_limit + 1):
-        head = _check_target(prefix_of(length))
+        head = _check_bits(prefix_of(length))
         if len(head) != length:
             raise ValueError("prefix_of must return prefixes of the asked length")
         p = string_to_index(head)
         if p + overhead > len_limit:
             return None  # ranks only grow with the prefix length
-        target = _check_target(prefix_of(length + p))
+        target = _check_bits(prefix_of(length + p))
         if len(target) != length + p or not target.startswith(head):
             raise ValueError("prefix_of must be consistent across lengths")
         witness = "1" * REG_PAD + "0" + "1" * REG_IDENTITY + "0" + target[length:]
@@ -246,8 +257,7 @@ def horizon_search(
     reveal more compressible prefixes and hence shrink the horizon, never
     grow it.
     """
-    table = _witness_table(False, len_limit, budget)
-    compressible = {s for s, w in table.items() if len(w) <= len(s) - k}
+    compressible = _compressible(False, k, m_max, len_limit, budget)
     for m in range(m_max + 1):
         if all(
             any("".join(bits)[:i] in compressible for i in range(m))
@@ -275,7 +285,7 @@ def subadditivity_probe(
     masked by the caller's budget.
     """
     strings = list(_programs(n_max))
-    plain = _witness_table(False, len_limit, budget)
+    plain, _ = _witness_table(False, len_limit, budget)
     pair_overhead = REG_PAIR + 1
 
     gaps = []
@@ -330,13 +340,10 @@ def budget_short_programs(
     program for the same output and evict an entry.
     """
     best: dict[str, int] = {}
+    halted: list[tuple[str, str]] = []
     for p in _programs(len_limit):
         out = prefix_universal_run(p, budget, len_limit)
         if out.halted:
             best.setdefault(out.output, len(p))
-    return [
-        p
-        for p in _programs(len_limit)
-        if (out := prefix_universal_run(p, budget, len_limit)).halted
-        and best[out.output] == len(p)
-    ]
+            halted.append((p, out.output))
+    return [p for p, output in halted if best[output] == len(p)]

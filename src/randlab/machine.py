@@ -451,6 +451,21 @@ _CODE_TABLE: tuple[tuple[str, str], ...] = ()
 _CONTEXTS: dict[tuple[int, tuple], _Context] = {}
 
 
+def _fingerprint(code_table: tuple[tuple[str, str], ...]) -> str:
+    payload = {
+        "registry": list(REGISTRY_NAMES),
+        "table_offset": REGISTRY_SIZE,
+        "tm_field_bits": [3, 2, 1],
+        "code_table": [[k, v] for k, v in code_table],
+    }
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode("ascii"))
+    return digest.hexdigest()
+
+
+# hashed once per installed code table, not on every lookup
+_FINGERPRINT = _fingerprint(_CODE_TABLE)
+
+
 def _context(len_limit: int) -> _Context:
     if len_limit < 0:
         raise ValueError("len_limit must be nonnegative")
@@ -468,16 +483,16 @@ def install_code_table(table: dict[str, str]) -> None:
     Keys must form an antichain so the code-table behavior is prefix-free
     by construction.
     """
-    global _CODE_TABLE
+    global _CODE_TABLE, _FINGERPRINT
     items = tuple(sorted((_check_bits(k), _check_bits(v)) for k, v in table.items()))
     if not is_prefix_free([k for k, _ in items]):
         raise ValueError("code table keys must form an antichain")
-    _CODE_TABLE = items
+    _CODE_TABLE, _FINGERPRINT = items, _fingerprint(items)
 
 
 def clear_code_table() -> None:
-    global _CODE_TABLE
-    _CODE_TABLE = ()
+    global _CODE_TABLE, _FINGERPRINT
+    _CODE_TABLE, _FINGERPRINT = (), _fingerprint(())
 
 
 def current_code_table() -> dict[str, str]:
@@ -485,14 +500,7 @@ def current_code_table() -> dict[str, str]:
 
 
 def registry_fingerprint() -> str:
-    payload = {
-        "registry": list(REGISTRY_NAMES),
-        "table_offset": REGISTRY_SIZE,
-        "tm_field_bits": [3, 2, 1],
-        "code_table": [[k, v] for k, v in _CODE_TABLE],
-    }
-    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode("ascii"))
-    return digest.hexdigest()
+    return _FINGERPRINT
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .bitstr import DYADIC_ONE, DYADIC_ZERO, Dyadic, _check_bits, all_strings
-from .complexity import prefix_k
+from .complexity import _compressible, prefix_k
 from .machine import DEFAULT_BUDGET, REG_CODE_TABLE, install_code_table
 from .prefixfree import cover_measure, kraft_code, prefix_freeize
 
@@ -314,12 +314,7 @@ def compression_test(
     prefix complexity is at least k below their length.  The budgeted
     relation is a subset of the true one, so the exact cover mass obeys the
     2^-k bound a fortiori."""
-    return frozenset(
-        b
-        for b in all_strings(depth)
-        if (bound := prefix_k(b, len_limit, budget)) is not None
-        and bound.value <= len(b) - k
-    )
+    return _compressible(True, k, depth, len_limit, budget)
 
 
 class BridgeMassError(ValueError):

@@ -309,3 +309,52 @@ def test_validate_formats_share_data(capsys, fmt):
         }
     else:
         assert split_report(out)[2][2] == "2,pass,1/4,1/4,3"
+
+
+# ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("omega", "--budget", "-5"),
+        ("omega", "--stage", "-4"),
+        ("mltest", "score", "--subject", "01", "--depth", "-1"),
+        ("complexity", "scan", "--len-limit", "-1"),
+        ("complexity", "scan", "--max-len", "-2"),
+        ("enum", "--count", "-1"),
+        ("complexity", "census", "--max-n", "-1"),
+        ("complexity", "subadd", "--max-n", "-1"),
+        ("complexity", "horizon", "--k", "1", "--max-m", "-1"),
+        ("mltest", "validate", "--test", "leading-zeros", "--levels", "-1"),
+        ("mltest", "universal", "--level", "-2"),
+        ("mltest", "bridge", "--test", "leading-zeros", "--n-max", "-3"),
+        ("omega", "--budget", "many"),
+    ],
+)
+def test_negative_or_malformed_counts_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"argument {argv[-2]}:" in err
+
+
+def test_zero_counts_are_accepted(capsys):
+    code, out, _ = run(capsys, "omega", "--stage", "0", "--budget", "0")
+    assert code == 0
+    assert split_report(out)[2] == []
+
+
+def test_file_errors_end_with_one_line(capsys, tmp_path):
+    missing = str(tmp_path / "missing.txt")
+    unwritable = str(tmp_path / "no-such-dir" / "report.csv")
+    for argv in (
+        ("pfz", "--in", missing),
+        ("measure", "--in", missing),
+        ("enum", "--count", "3", "--out", unwritable),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("randlab: ") and err.count("\n") == 1
+        assert "Traceback" not in err

@@ -12,6 +12,7 @@ import itertools
 
 import pytest
 
+from randlab import complexity
 from randlab.bitstr import all_strings, index_to_string
 from randlab.complexity import (
     ComplexityBound,
@@ -24,7 +25,12 @@ from randlab.complexity import (
     registry_constants,
     subadditivity_probe,
 )
-from randlab.machine import prefix_universal_run, universal_run
+from randlab.machine import (
+    prefix_universal_run,
+    prefix_universal_status,
+    universal_run,
+    universal_status,
+)
 
 BIG = 100_000
 
@@ -129,6 +135,59 @@ def test_bounds_monotone_in_limits() -> None:
 def test_target_validation() -> None:
     with pytest.raises(ValueError):
         plain_c("012")
+
+
+def rescan_exhaustive(witness: str, prefix: bool, len_limit: int, budget: int) -> bool:
+    # the oracle for `exhaustive`: every program shorter than the witness is
+    # resolved (halted or certified diverging) at this budget
+    classify = prefix_universal_status if prefix else universal_status
+    return all(
+        classify(p, budget, len_limit) != "unresolved"
+        for p in all_strings(len(witness) - 1)
+    )
+
+
+def test_exhaustive_matches_the_rescan_oracle() -> None:
+    seen = set()
+    cases = [(plain_c, False, limit) for limit in (6, 9, 12)]
+    cases += [(prefix_k, True, limit) for limit in (6, 9, 13)]
+    for op, prefix, len_limit in cases:
+        for budget in (5, 30, 100, 1000, BIG):
+            for b in strings_up_to(6):
+                bound = op(b, len_limit, budget)
+                if bound is None:
+                    continue
+                expected = rescan_exhaustive(bound.witness, prefix, len_limit, budget)
+                assert bound.exhaustive == expected, (prefix, len_limit, budget, b)
+                seen.add(expected)
+    assert seen == {True, False}
+
+
+def test_bounds_make_no_status_call_once_the_table_is_built(monkeypatch) -> None:
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append((fn.__name__, args))
+            return fn(*args)
+
+        return wrapper
+
+    plain_c("", 8, BIG)
+    prefix_k("", 8, BIG)
+    for name in (
+        "universal_run",
+        "prefix_universal_run",
+        "universal_status",
+        "prefix_universal_status",
+    ):
+        monkeypatch.setattr(complexity, name, counted(getattr(complexity, name)))
+    for b in strings_up_to(6):
+        plain_c(b, 8, BIG)
+        prefix_k(b, 8, BIG)
+    assert calls == []
+    plain_c("", 7, BIG)  # a new table does go through the counted runners
+    assert calls
 
 
 # ---------------------------------------------------------------------------

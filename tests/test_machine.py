@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from randlab import machine
 from randlab.bitstr import index_to_string, string_to_index
 from randlab.machine import (
     DEFAULT_LEN_LIMIT,
@@ -407,6 +408,27 @@ def test_code_table_round_trip() -> None:
     clear_code_table()
     assert registry_fingerprint() == baseline
     assert not prefix_universal_run("111100", BIG).halted
+
+
+def test_fingerprint_is_hashed_once_per_code_table(monkeypatch) -> None:
+    baseline = registry_fingerprint()
+    hashed = []
+    fingerprint = machine._fingerprint
+
+    def counted(table):
+        hashed.append(table)
+        return fingerprint(table)
+
+    monkeypatch.setattr(machine, "_fingerprint", counted)
+    assert [registry_fingerprint() for _ in range(3)] == [baseline] * 3
+    assert hashed == []
+    install_code_table({"0": "111"})
+    installed = registry_fingerprint()
+    assert installed == fingerprint((("0", "111"),)) != baseline
+    assert registry_fingerprint() == installed
+    clear_code_table()
+    assert registry_fingerprint() == baseline
+    assert hashed == [(("0", "111"),), ()]
 
 
 def test_code_table_rejects_non_antichain() -> None:

@@ -18,7 +18,9 @@ from randlab.complexity import prefix_k
 from randlab.machine import (
     clear_code_table,
     current_code_table,
+    install_code_table,
     prefix_universal_run,
+    registry_fingerprint,
 )
 from randlab.mltest import (
     BridgeMassError,
@@ -411,6 +413,22 @@ def test_compression_test_is_empty_at_desk_scale(k):
     assert compression_test(k, depth=10) == frozenset()
 
 
+def test_compression_test_matches_the_prefix_k_oracle():
+    # short codewords for long outputs make the cover nonempty
+    install_code_table({"00": "0" * 9, "010": "1" * 10, "1": "0110"})
+    for k in range(6):
+        for depth in (3, 9, 10):
+            expected = frozenset(
+                b
+                for b in all_strings(depth)
+                if (bound := prefix_k(b, 13, BIG)) is not None
+                and bound.value <= len(b) - k
+            )
+            assert compression_test(k, 13, BIG, depth) == expected
+    assert compression_test(2, 13, BIG, 10) == {"0" * 9, "1" * 10}
+    assert compression_test(2, 13, BIG, 9) == {"0" * 9}
+
+
 def test_bridge_fixture_for_converted_leading_zeros():
     conv = sense1_to_sense2(by_name(builtin_tests())["leading-zeros"], depth=8)
     result = ml_to_kc_decoder(conv, 2, depth=8, install=False)
@@ -429,9 +447,11 @@ def test_bridge_install_makes_the_bounds_executable():
     assert prefix_k("00000", 13, BIG).value == 13
     assert prefix_k("00000", 13, BIG).witness == "1011101110000"
 
+    baseline = registry_fingerprint()
     conv = sense1_to_sense2(by_name(builtin_tests())["leading-zeros"], depth=8)
     result = ml_to_kc_decoder(conv, 2, depth=8)
     assert current_code_table() == {"00": "000", "010": "00000"}
+    assert registry_fingerprint() != baseline
 
     for codeword, target in result.decoder:
         program = "1" * 4 + "0" + codeword
@@ -443,6 +463,9 @@ def test_bridge_install_makes_the_bounds_executable():
     assert prefix_k("000", 13, BIG).value == 7
     assert prefix_k("00000", 13, BIG).value == 8
     assert prefix_k("00000", 13, BIG).witness == "11110010"
+    clear_code_table()
+    assert registry_fingerprint() == baseline
+    assert prefix_k("000", 13, BIG).value == 11
 
 
 def test_bridge_mass_overflow_is_reported_exactly():
