@@ -136,14 +136,18 @@ DYADIC_ONE = Dyadic(1)
 
 
 def parse_dyadic(text: str) -> Dyadic:
-    """Parse 'num/2^k' or a bare integer back into a Dyadic."""
+    """Parse a bare integer, 'num/2^k' (``str``) or 'num/d' with d a power of
+    two (CLI report cells) into a Dyadic; other denominators are ValueError."""
     text = text.strip()
-    if "/" in text:
-        num_text, denom_text = text.split("/", 1)
-        if not denom_text.startswith("2^"):
-            raise ValueError(f"not a dyadic literal: {text!r}")
+    if "/" not in text:
+        return Dyadic(int(text))
+    num_text, denom_text = text.split("/", 1)
+    if denom_text.startswith("2^"):
         return Dyadic(int(num_text), int(denom_text[2:]))
-    return Dyadic(int(text))
+    denom = int(denom_text)
+    if denom < 1 or denom & (denom - 1):
+        raise ValueError(f"not a dyadic literal: {text!r}")
+    return Dyadic(int(num_text), denom.bit_length() - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +170,7 @@ def string_to_index(b: str) -> int:
 
 def all_strings(max_len: int) -> Iterator[str]:
     """All binary strings of length <= max_len, in length-lexicographic order."""
-    for m in range(2 ** (max_len + 1) - 1):
+    for m in range((1 << max(max_len + 1, 0)) - 1):
         yield index_to_string(m)
 
 

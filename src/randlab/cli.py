@@ -104,14 +104,6 @@ def render_dyadic(r: Dyadic) -> str:
     return str(r.num) if r.scale == 0 else f"{r.num}/{2 ** r.scale}"
 
 
-def render_decimal(r: Dyadic) -> str:
-    """Exact terminating decimal of num / 2^scale."""
-    if r.scale == 0:
-        return str(r.num)
-    digits = str(r.num * 5**r.scale).rjust(r.scale + 1, "0")
-    return (digits[: -r.scale] + "." + digits[-r.scale :]).rstrip("0").rstrip(".")
-
-
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -304,7 +296,7 @@ def _cmd_omega(args) -> int:
                 "status": event.outcome.status,
                 "output": spell(event.outcome.output),
                 "lower_bound": render_dyadic(running),
-                "lower_bound_decimal": render_decimal(running),
+                "lower_bound_decimal": running.decimal(),
             }
         )
     columns = ["program", "stage", "status", "output", "lower_bound", "lower_bound_decimal"]

@@ -28,9 +28,9 @@ from .machine import (
     REG_IDENTITY,
     REG_PAD,
     REG_PAIR,
+    _context,
     prefix_universal_run,
     prefix_universal_status,
-    registry_fingerprint,
     universal_run,
     universal_status,
 )
@@ -113,31 +113,23 @@ def registry_constants() -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-def _programs(len_limit: int):
-    return all_strings(len_limit) if len_limit >= 0 else iter(())
-
-
-# first-witness tables are memoized per machine configuration, each with its
-# frontier: the first program in length-lex order left unresolved at the
-# budget, or None when every program up to len_limit resolved
-_TABLES: dict[tuple, tuple[dict[str, str], str | None]] = {}
-
-
 def _witness_table(prefix: bool, len_limit: int, budget: int) -> tuple[dict, str | None]:
-    key = (prefix, len_limit, budget, registry_fingerprint())
-    entry = _TABLES.get(key)
+    if len_limit < 0:
+        return {}, None  # no programs, and no universe to hold the table
+    tables = _context(len_limit).tables
+    entry = tables.get((prefix, budget))
     if entry is None:
         runner = prefix_universal_run if prefix else universal_run
         classify = prefix_universal_status if prefix else universal_status
         table: dict[str, str] = {}
         frontier = None
-        for p in _programs(len_limit):
+        for p in all_strings(len_limit):
             out = runner(p, budget, len_limit)
             if out.halted:
                 table.setdefault(out.output, p)
             elif frontier is None and classify(p, budget, len_limit) == "unresolved":
                 frontier = p
-        entry = _TABLES[key] = (table, frontier)
+        entry = tables[(prefix, budget)] = (table, frontier)
     return entry
 
 
@@ -191,7 +183,7 @@ def census_incompressible(
     if n < 0:
         raise ValueError("n must be nonnegative")
     produced: set[str] = set()
-    for p in _programs(min(n - 1, len_limit)):
+    for p in all_strings(min(n - 1, len_limit)):
         out = universal_run(p, budget, len_limit)
         if out.halted and len(out.output) == n:
             produced.add(out.output)
@@ -284,7 +276,7 @@ def subadditivity_probe(
     steps), so a failure to certify is recorded as a violation rather than
     masked by the caller's budget.
     """
-    strings = list(_programs(n_max))
+    strings = list(all_strings(n_max))
     plain, _ = _witness_table(False, len_limit, budget)
     pair_overhead = REG_PAIR + 1
 
@@ -341,7 +333,7 @@ def budget_short_programs(
     """
     best: dict[str, int] = {}
     halted: list[tuple[str, str]] = []
-    for p in _programs(len_limit):
+    for p in all_strings(len_limit):
         out = prefix_universal_run(p, budget, len_limit)
         if out.halted:
             best.setdefault(out.output, len(p))

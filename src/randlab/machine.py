@@ -202,23 +202,28 @@ def _cached(memo: dict, key, cap: int):
     return None
 
 
-def _remember(memo: dict, key, status) -> None:
+def _settle(memo: dict, key, status, cap: int):
+    """Remember a computed status unless an "h"/"d", or a "u" at a cap no
+    smaller, is already known; then clip it to the queried cap."""
     prev = memo.get(key)
-    if prev is not None and prev[0] != "u":
-        return
-    if status[0] == "u" and prev is not None and prev[1] >= status[1]:
-        return
-    memo[key] = status
+    if prev is None or (prev[0] == "u" and (status[0] != "u" or status[1] > prev[1])):
+        memo[key] = status
+    if status[0] == "h" and status[1] > cap:
+        return ("u", cap)
+    return status
 
 
 class _Context:
-    """Memoized statuses for one (len_limit, installed code table) pair."""
+    """Memoized statuses for one (len_limit, installed code table) pair, and
+    its first-witness tables: (prefix, budget) -> (output -> first program,
+    first program left unresolved at the budget or None)."""
 
-    __slots__ = ("len_limit", "code_table", "_machine", "_guard", "_u", "_v")
+    __slots__ = ("len_limit", "code_table", "tables", "_machine", "_guard", "_u", "_v")
 
     def __init__(self, len_limit: int, code_table: tuple[tuple[str, str], ...]):
         self.len_limit = len_limit
         self.code_table = dict(code_table)
+        self.tables: dict[tuple[bool, int], tuple[dict[str, str], str | None]] = {}
         self._machine: dict = {}
         self._guard: dict = {}
         self._u: dict = {}
@@ -253,9 +258,7 @@ class _Context:
             hit = _cached(self._machine, key, cap)
             if hit is not None:
                 return hit
-            status = _tm_status(machine.table, inp, cap)
-            _remember(self._machine, key, status)
-            return status
+            return _settle(self._machine, key, _tm_status(machine.table, inp, cap), cap)
         if kind == "mapping":
             return self._finite_status(dict(machine.mapping), inp, cap)
         if kind == "guarded":
@@ -283,10 +286,7 @@ class _Context:
             status = ("d",)
         else:
             status = ("u", cap)
-        _remember(self._machine, key, status)
-        if status[0] == "h" and status[1] > cap:
-            return ("u", cap)
-        return status
+        return _settle(self._machine, key, status, cap)
 
     def _pair_status(self, s: str, cap: int):
         key = ("pair", s)
@@ -316,10 +316,7 @@ class _Context:
                 status = ("d",)
             else:
                 status = ("u", cap)
-        _remember(self._machine, key, status)
-        if status[0] == "h" and status[1] > cap:
-            return ("u", cap)
-        return status
+        return _settle(self._machine, key, status, cap)
 
     # -- the prefix guard ---------------------------------------------------
 
@@ -349,10 +346,7 @@ class _Context:
             status = self._guard_finite(finite, b)
         else:
             status = self._guard_walk(machine, b, cap)
-        _remember(self._guard, key, status)
-        if status[0] == "h" and status[1] > cap:
-            return ("u", cap)
-        return status
+        return _settle(self._guard, key, status, cap)
 
     def _guard_finite(self, table: dict[str, str], b: str):
         # the domain is known outright, so the dovetail winner is exact
@@ -395,26 +389,22 @@ class _Context:
 
     # -- the two universal machines -----------------------------------------
 
+    def _dispatch(self, inner, inp: str, cap: int):
+        """Run machine n on a through `inner` for input 1^n 0 a, charging
+        n + 1 dispatch steps."""
+        n = inp.find("0")
+        if n < 0:
+            return ("d",)
+        status = inner(decode_machine(n), inp[n + 1 :], max(cap - n - 1, 0))
+        if status[0] == "h":
+            return ("h", status[1] + n + 1, status[2])
+        return status if status[0] == "d" else ("u", cap)
+
     def u_status(self, inp: str, cap: int):
         hit = _cached(self._u, inp, cap)
         if hit is not None:
             return hit
-        n = inp.find("0")
-        if n < 0:
-            status = ("d",)
-        else:
-            dispatch = n + 1
-            inner = self.m_status(decode_machine(n), inp[n + 1 :], max(cap - dispatch, 0))
-            if inner[0] == "h":
-                status = ("h", inner[1] + dispatch, inner[2])
-            elif inner[0] == "d":
-                status = ("d",)
-            else:
-                status = ("u", cap)
-        _remember(self._u, inp, status)
-        if status[0] == "h" and status[1] > cap:
-            return ("u", cap)
-        return status
+        return _settle(self._u, inp, self._dispatch(self.m_status, inp, cap), cap)
 
     def v_status(self, prog: str, cap: int):
         hit = _cached(self._v, prog, cap)
@@ -423,24 +413,8 @@ class _Context:
         if len(prog) > self.len_limit:
             status = ("d",)
         else:
-            l = prog.find("0")
-            if l < 0:
-                status = ("d",)
-            else:
-                dispatch = l + 1
-                inner = self.guard_status(
-                    decode_machine(l), prog[l + 1 :], max(cap - dispatch, 0)
-                )
-                if inner[0] == "h":
-                    status = ("h", inner[1] + dispatch, inner[2])
-                elif inner[0] == "d":
-                    status = ("d",)
-                else:
-                    status = ("u", cap)
-        _remember(self._v, prog, status)
-        if status[0] == "h" and status[1] > cap:
-            return ("u", cap)
-        return status
+            status = self._dispatch(self.guard_status, prog, cap)
+        return _settle(self._v, prog, status, cap)
 
 
 # ---------------------------------------------------------------------------

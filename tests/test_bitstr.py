@@ -75,6 +75,11 @@ def test_all_strings_is_the_enumeration_prefix() -> None:
     assert list(all_strings(4)) == [index_to_string(m) for m in range(2**5 - 1)]
 
 
+@pytest.mark.parametrize("max_len", [-1, -2, -3, -64])
+def test_all_strings_is_empty_below_zero(max_len: int) -> None:
+    assert list(all_strings(max_len)) == []
+
+
 def test_enumeration_rejects_bad_input() -> None:
     with pytest.raises(ValueError):
         index_to_string(-1)
@@ -146,6 +151,29 @@ def test_dyadic_rendering_round_trips() -> None:
     assert str(Dyadic(45, 6)) == "45/2^6"
     assert Dyadic(45, 6).decimal() == "0.703125"
     assert Dyadic(3, 0).decimal() == "3"
+
+
+def test_parse_dyadic_reads_power_of_two_denominators() -> None:
+    assert parse_dyadic("23/32") == Dyadic(23, 5)
+    assert parse_dyadic("3/1") == Dyadic(3)
+    assert parse_dyadic("4/8") == Dyadic(1, 1)
+    for num, scale in [(1, 1), (23, 5), (45, 6), (1, 64)]:
+        assert parse_dyadic(f"{num}/{2**scale}") == Dyadic(num, scale)
+
+
+@pytest.mark.parametrize("text", ["23/24", "1/0", "1/-2", "1/3", "5/2^x"])
+def test_parse_dyadic_refuses_other_denominators(text: str) -> None:
+    with pytest.raises(ValueError):
+        parse_dyadic(text)
+
+
+def test_decimal_has_no_trailing_zeros() -> None:
+    # a canonical num is odd, so num * 5**scale never ends in 0
+    for scale in range(1, 65):
+        for num in (1, 3, 2**scale - 1):
+            text = Dyadic(num, scale).decimal()
+            assert not text.endswith("0")
+            assert Fraction(text) == Fraction(num, 2**scale)
 
 
 def test_geometric_sum_identity() -> None:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import csv
 import json
 
 import pytest
 
-from randlab.cli import main
+from randlab.bitstr import Dyadic, parse_dyadic
+from randlab.cli import main, unspell
 from randlab.machine import current_code_table
+from randlab.prefixfree import cover_measure, kraft_sum
 
 
 def run(capsys, *argv):
@@ -127,6 +130,15 @@ def test_measure_report(capsys):
     ]
 
 
+@pytest.mark.parametrize("strings", [["0", "10", "11"], ["0", "01"], ["", "1101", "011"]])
+def test_measure_fraction_cells_parse_back(capsys, strings):
+    code, out, _ = run(capsys, "measure", *(s or "-" for s in strings))
+    cells = dict(row.split(",") for row in split_report(out)[2])
+    assert code == 0
+    assert parse_dyadic(cells["kraft_sum"]) == kraft_sum(strings)
+    assert parse_dyadic(cells["cover_measure"]) == cover_measure(strings)
+
+
 # ---------------------------------------------------------------------------
 # complexity reports
 # ---------------------------------------------------------------------------
@@ -197,6 +209,17 @@ def test_omega_contribution_table(capsys):
         "11000,2401,halted,-,11/16,0.6875",
         "10100,2466,halted,-,23/32,0.71875",
     ]
+
+
+def test_omega_fraction_cells_parse_back(capsys):
+    code, out, _ = run(capsys, "omega", "--stage", "65536")
+    _, header, rows = split_report(out)
+    assert code == 0 and len(rows) > 5
+    running = Dyadic(0)
+    for program, _, _, _, bound, decimal in csv.reader(rows):
+        running = running + Dyadic(1, len(unspell(program)))
+        assert parse_dyadic(bound) == running
+        assert decimal == running.decimal()
 
 
 def test_omega_until_mass(capsys):

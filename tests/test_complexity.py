@@ -26,6 +26,8 @@ from randlab.complexity import (
     subadditivity_probe,
 )
 from randlab.machine import (
+    clear_code_table,
+    install_code_table,
     prefix_universal_run,
     prefix_universal_status,
     universal_run,
@@ -188,6 +190,33 @@ def test_bounds_make_no_status_call_once_the_table_is_built(monkeypatch) -> None
     assert calls == []
     plain_c("", 7, BIG)  # a new table does go through the counted runners
     assert calls
+
+
+def test_witness_tables_follow_the_installed_code_table(monkeypatch) -> None:
+    calls = []
+    plain = prefix_k("111", 8, BIG)
+    try:
+        install_code_table({"0": "111"})
+        assert prefix_k("111", 8, BIG) == ComplexityBound(6, "111100", BIG, 8, True)
+        clear_code_table()
+        for name in ("prefix_universal_run", "prefix_universal_status"):
+            fn = getattr(complexity, name)
+            monkeypatch.setattr(
+                complexity, name, lambda *args, fn=fn: calls.append(args) or fn(*args)
+            )
+        # the default universe kept its table across the install
+        assert prefix_k("111", 8, BIG) == plain
+        assert calls == []
+    finally:
+        clear_code_table()
+
+
+def test_negative_len_limit_has_no_programs() -> None:
+    assert plain_c("0", -1) is None
+    assert prefix_k("0", -1) is None
+    assert budget_short_programs(-1) == []
+    report = subadditivity_probe(1, len_limit=-1)
+    assert (report.plain_pairs, report.prefix_pairs) == (0, 0)
 
 
 # ---------------------------------------------------------------------------

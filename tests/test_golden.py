@@ -1,0 +1,80 @@
+"""Golden reports: byte-for-byte digests of CLI output.
+
+Criterion 12 compares two runs of the same build, so it cannot see a change
+that alters a report.  These digests pin the reports themselves, so any
+refactor that changes a byte of output fails here.  Each case also pins the
+exit status (``mltest validate --test count101`` reports a failed level).
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from randlab.cli import main
+from randlab.machine import clear_code_table, current_code_table, install_code_table
+
+GOLDEN = [
+    (["enum", "--count", "64"], 0,
+     "967cfc42d918b786ae59dcb4d858c56d46b7aaddd30c20a43539833836e38e16"),
+    (["pfz", "0", "00", "01", "1"], 0,
+     "82c1315e6c757f33c4a77ca58b2a184f5a88614470c05ec77f3d28918db6b8ae"),
+    (["kraft", "--lengths", "1,2,2"], 0,
+     "50ec8eb948d8ed9efd98522f72aa4a818b8eef36480044e484dbc7759f85a214"),
+    (["measure", "0", "10", "11"], 0,
+     "6c322359c0aa443602ffb95da1294de2ca0103fbcc049ab17758efce6a42ca75"),
+    (["complexity", "scan", "--max-len", "1", "--len-limit", "8", "--budget", "1000"], 0,
+     "bc7639aaa2c8c8d24cf0e87623ebf8add91d4bf04cb3dbf85c1ab0bdaebcf97e"),
+    (["complexity", "census", "--max-n", "3", "--budget", "100"], 0,
+     "f543d5bad3a772225eebe5d46bb08ba1f034eef54080850846453103c00ea1b2"),
+    (["complexity", "subadd", "--max-n", "1"], 0,
+     "eb7ebac155a894fb0725b3c88b7d0e59d9397e5ac37e5aad7cb6e376a34b60fd"),
+    (["omega"], 0,
+     "ab51ebc84d83617d8c0854e40c9d47b2a4ac6bd0a38991353940103185de938b"),
+    (["omega", "--until-mass", "0", "--stage", "5"], 0,
+     "affcca15083797a44de4f7af848057b89256a98b20532b405a128a8fd2b02497"),
+    (["mltest", "validate", "--test", "count101", "--levels", "3"], 1,
+     "b8c47575c1b6b316de6c04a3fc892ab8f821ce20db5c4479159e9c0da9c6a132"),
+    (["mltest", "convert", "--test", "leading-zeros", "--levels", "2", "--depth", "3"], 0,
+     "bcd2b1bb54c926145a2fff86145ac5640bf774a27372956d478eea9f6ceb59a1"),
+    (["mltest", "universal", "--level", "2", "--depth", "6"], 0,
+     "94e0d70151ae73546d5350fe04bcd1bc363372d48cc2daef98ad6a0aeebcc678"),
+    (["mltest", "score", "--subject", "0" * 12], 0,
+     "c44a085a58dcb7972580fb91621b8c8f6c7b54796469c2e656e1e7b441fb65e3"),
+    (["mltest", "bridge", "--test", "leading-zeros", "--n-max", "2", "--depth", "8"], 0,
+     "0563b1aaa63232697c3f605eb53819e45bfa2e5c21be1387389518d9e5eec64c"),
+    (["enum", "--count", "64", "--format", "json"], 0,
+     "7f5bf45d6565ec1e6d40b55e595883d0e37e3258839ce384df196cb5c8c3aaa2"),
+    (["complexity", "pad", "--k", "2"], 0,
+     "0cc8ef1b315502856c3175cd96bfa518ae124e5dc99f2e2612398f669b111374"),
+    # at default flags -1 is the only horizon with a report; 0 and 1 exit 1
+    (["complexity", "horizon", "--k", "-1"], 0,
+     "67caafce56a87fc430e0b6e7af37fb5baa49403ead2c2dbc4aef5c947f2a6e2d"),
+]
+
+
+@pytest.fixture
+def default_registry():
+    """Run with no code table installed (the fingerprint is in every header)."""
+    saved = current_code_table()
+    clear_code_table()
+    yield
+    if saved:
+        install_code_table(saved)
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest", GOLDEN, ids=[" ".join(argv) for argv, _, _ in GOLDEN]
+)
+def test_golden_report(argv, code, digest, tmp_path, default_registry) -> None:
+    out = tmp_path / "report.txt"
+    assert main(argv + ["--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("k", ["0", "1"])
+def test_horizon_without_report_exits_one(k, tmp_path, default_registry) -> None:
+    out = tmp_path / "report.txt"
+    assert main(["complexity", "horizon", "--k", k, "--out", str(out)]) == 1
+    assert not out.exists()

@@ -12,7 +12,7 @@ import random
 import pytest
 
 from randlab import machine
-from randlab.bitstr import index_to_string, string_to_index
+from randlab.bitstr import all_strings, index_to_string, string_to_index
 from randlab.machine import (
     DEFAULT_LEN_LIMIT,
     DIVERGING,
@@ -391,6 +391,54 @@ def test_dovetail_events_are_first_halts() -> None:
 def test_dovetail_halted_set_is_an_antichain() -> None:
     for stage in [1, 64, 512, 4096]:
         assert is_prefix_free({e.program for e in dovetail_domain(stage)})
+
+
+# ---------------------------------------------------------------------------
+# the memo rule
+# ---------------------------------------------------------------------------
+
+
+def fibonacci_caps(top: int) -> list[int]:
+    caps, a, b = [0], 1, 2
+    while a < top:
+        caps.append(a)
+        a, b = b, a + b
+    return caps + [top]
+
+
+MEMO_CAPS = fibonacci_caps(BIG)  # 0, 1, 2, 3, 5, 8, ..., 75025, 100000
+
+
+@pytest.mark.parametrize("universal", ["u_status", "v_status"])
+def test_memo_rule_across_query_orders(universal) -> None:
+    # every status goes through one memo rule: a context queried at rising
+    # caps answers exactly as a fresh context per query does, and one queried
+    # at falling caps differs only where a divergence proven at a larger cap
+    # is reported at a cap too small to prove it afresh
+    def query(ctx, prog, cap):
+        return getattr(ctx, universal)(prog, cap)
+
+    def fresh():
+        return machine._Context(8, ())
+
+    carried = 0
+    for prog in all_strings(8):
+        up, down = fresh(), fresh()
+        ascending = [query(up, prog, cap) for cap in MEMO_CAPS]
+        descending = [query(down, prog, cap) for cap in reversed(MEMO_CAPS)][::-1]
+        alone = [query(fresh(), prog, cap) for cap in MEMO_CAPS]
+        assert ascending == alone, prog
+        for cap, rising, falling in zip(MEMO_CAPS, ascending, descending):
+            if falling != rising:
+                assert (rising, falling) == (("u", cap), ("d",)), (prog, cap)
+                carried += 1
+        # statuses only refine: "u" may settle, "h" and "d" never change
+        for cap, before, after in zip(MEMO_CAPS, ascending, ascending[1:]):
+            if before[0] == "u":
+                assert before == ("u", cap)
+            else:
+                assert after == before, prog
+    assert carried > 0  # the falling order did reach a carried divergence
 
 
 # ---------------------------------------------------------------------------

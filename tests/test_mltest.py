@@ -186,6 +186,14 @@ def test_count101_shallow_materialization_is_indeterminate():
     assert v.depth == 10
 
 
+@pytest.mark.parametrize("depth", [-1, -2, -5])
+def test_negative_depth_materializes_nothing(depth):
+    verdicts = validate_sense1(registered_tests()["count101"], 1, depth=depth)
+    assert [(v.verdict, v.measure, v.depth) for v in verdicts] == [
+        ("indeterminate", DYADIC_ZERO, depth)
+    ] * 2
+
+
 def test_failure_needs_no_horizon():
     # covers only grow with depth, so exceeding the bound early is final
     t = Sense1Test("length", lambda b: len(b), lambda m: None)
