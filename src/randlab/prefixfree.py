@@ -4,15 +4,15 @@ A set of strings is prefix-free when no member is a proper initial segment
 of another; the cylinders above its members are then disjoint, and the
 measure of their union is the Kraft sum of the lengths.  Arbitrary finite
 sets are reduced to an equivalent antichain by ``prefix_freeize``, which
-replaces each string that arrives above existing members by the deepest
-slice of its cylinder not already covered.  ``kraft_code`` runs the other
-direction: it assigns leftmost disjoint codewords to a stream of lengths
-while the running mass fits below one.
+replaces each string that arrives below existing members by the minimal
+uncovered complement of its cylinder; ``cover_measure`` sweeps the sorted
+set and sums only the strings with no prefix in it.  ``kraft_code`` runs
+the other direction: it assigns leftmost disjoint codewords to a stream of
+lengths while the running mass fits below one.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable, Iterator
 
 from .bitstr import Dyadic, DYADIC_ZERO, _check_bits
@@ -51,46 +51,41 @@ def prefix_freeize(strings: Iterable[str]) -> frozenset[str]:
 
     Strings are folded in one at a time.  A newcomer already covered by the
     set is dropped; a newcomer strictly below existing members is replaced
-    by its extensions at the current maximum depth that are not yet covered.
-    The result never depends on anything but the input order, and equals
-    the input when the input was already prefix-free.
+    by the minimal strings above it that are not yet covered, so the work
+    is proportional to what is admitted.  The result equals the input when
+    the input was already prefix-free, and is the set of minimal input
+    strings when the input arrives in length-lex order; only other orders
+    make it depend on the arrival order.
     """
     antichain: set[str] = set()
-    above = Counter()  # proper prefix -> number of members extending it
-    max_len = 0
-
-    def expand(p: str) -> int:
-        # admit the uncovered depth-max_len slice under p, counting as we go
-        if p in antichain:
-            return 0
-        if len(p) == max_len:
-            antichain.add(p)
-            return 1
-        added = expand(p + "0") + expand(p + "1")
-        if added:
-            above[p] += added
-        return added
-
+    inner: set[str] = set()  # proper prefixes of members
     for s in strings:
         _check_bits(s)
         if any(s[:i] in antichain for i in range(len(s) + 1)):
             continue  # already covered (duplicates land here too)
-        if not above[s]:
-            antichain.add(s)
-            max_len = max(max_len, len(s))
-            for i in range(len(s)):
-                above[s[:i]] += 1
-            continue
-        added = expand(s)  # members above s force max_len > |s|
-        for i in range(len(s)):
-            above[s[:i]] += added
+        # descend from s: skip members, admit nodes with no member above
+        # them, split the rest.  Every proper prefix of a node admitted
+        # below s is already inner, so only s's own prefixes can be new
+        stack = [s]
+        while stack:
+            p = stack.pop()
+            if p in inner:
+                stack += (p + "1", p + "0")
+            elif p not in antichain:
+                antichain.add(p)
+        inner.update(s[:i] for i in range(len(s)))
     return frozenset(antichain)
 
 
 def cover_measure(strings: Iterable[str]) -> Dyadic:
     """Exact measure of the union of cylinders above the given strings."""
-    canonical = sorted(set(strings), key=lambda b: (len(b), b))
-    return kraft_sum(prefix_freeize(canonical))
+    # sorted order puts a prefix immediately before its extensions, so a
+    # string is covered iff it extends the last string kept
+    kept: list[str] = []
+    for b in sorted(set(map(_check_bits, strings))):
+        if not kept or not b.startswith(kept[-1]):
+            kept.append(b)
+    return kraft_sum(kept)
 
 
 def kraft_code_stream(lengths: Iterable[int]) -> Iterator[str]:

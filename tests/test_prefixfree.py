@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randlab.bitstr import Dyadic
 from randlab.prefixfree import (
@@ -59,6 +62,51 @@ def as_fraction(d: Dyadic) -> Fraction:
     return Fraction(d.num, 2**d.scale)
 
 
+def length_lex(strings) -> list[str]:
+    return sorted(set(strings), key=lambda b: (len(b), b))
+
+
+def expanding_freeize(strings) -> frozenset[str]:
+    """Oracle: the original freeize, which expands a newcomer below existing
+    members into its whole uncovered slice at the current maximum depth."""
+    antichain: set[str] = set()
+    above = Counter()  # proper prefix -> number of members extending it
+    max_len = 0
+
+    def expand(p: str) -> int:
+        if p in antichain:
+            return 0
+        if len(p) == max_len:
+            antichain.add(p)
+            return 1
+        added = expand(p + "0") + expand(p + "1")
+        if added:
+            above[p] += added
+        return added
+
+    for s in strings:
+        if any(s[:i] in antichain for i in range(len(s) + 1)):
+            continue
+        if not above[s]:
+            antichain.add(s)
+            max_len = max(max_len, len(s))
+            for i in range(len(s)):
+                above[s[:i]] += 1
+            continue
+        added = expand(s)
+        for i in range(len(s)):
+            above[s[:i]] += added
+    return frozenset(antichain)
+
+
+def expanding_cover_measure(strings) -> Dyadic:
+    """Oracle: the original cover measure, via the freeize of the canonical order."""
+    return kraft_sum(expanding_freeize(length_lex(strings)))
+
+
+bit_strings = st.text(alphabet="01", max_size=ORACLE_DEPTH)
+
+
 # ---------------------------------------------------------------------------
 # membership tests and sums
 # ---------------------------------------------------------------------------
@@ -109,6 +157,9 @@ def test_kraft_sum_ignores_duplicates() -> None:
         ([], set()),
         (["1", "1", "1"], {"1"}),
         (["0", "1", ""], {"0", "1"}),
+        (["0101", ""], {"00", "0100", "0101", "011", "1"}),
+        # the slice at the current maximum depth would hold 2^12 members
+        (["0" * 12, ""], {"0" * 12} | {"0" * i + "1" for i in range(12)}),
     ],
 )
 def test_prefix_freeize_examples(stream: list[str], expected: set[str]) -> None:
@@ -121,12 +172,36 @@ def test_prefix_freeize_properties() -> None:
         stream = random_string_set(rng, max_depth=8)
         result = prefix_freeize(stream)
         assert is_prefix_free(result)
-        # covers exactly the same ground as the raw stream
+        # covers exactly the same ground as the raw stream, with no more
+        # members than the expansion to the maximum depth
         assert leaf_count_measure(result) == leaf_count_measure(set(stream))
+        assert len(result) <= len(expanding_freeize(stream))
         # antichains pass through untouched
         assert prefix_freeize(sorted(result, key=lambda b: (len(b), b))) == result
         # duplication of the input never matters
         assert prefix_freeize(stream + stream) == result
+
+
+def test_prefix_freeize_has_no_recursion_limit() -> None:
+    deep = "0" * 5000
+    result = prefix_freeize([deep, ""])
+    assert result == {deep} | {"0" * i + "1" for i in range(5000)}
+
+
+def test_prefix_freeize_matches_expanding_oracle_on_length_lex_input() -> None:
+    rng = random.Random(6151)
+    for _ in range(400):
+        stream = length_lex(random_string_set(rng))
+        assert prefix_freeize(stream) == expanding_freeize(stream)
+
+
+@settings(derandomize=True, max_examples=300, database=None)
+@given(st.lists(bit_strings, max_size=16))
+def test_prefix_freeize_property(stream: list[str]) -> None:
+    result = prefix_freeize(stream)
+    assert is_prefix_free(result)
+    assert leaf_count_measure(result) == leaf_count_measure(set(stream))
+    assert prefix_freeize(stream + stream) == result
 
 
 def test_prefix_freeize_cover_is_pointwise() -> None:
@@ -166,6 +241,30 @@ def test_cover_measure_matches_leaf_oracle() -> None:
     for _ in range(400):
         strings = set(random_string_set(rng))
         assert as_fraction(cover_measure(strings)) == leaf_count_measure(strings)
+        assert cover_measure(strings) == expanding_cover_measure(strings)
+
+
+def test_cover_measure_matches_expanding_oracle_on_large_sets() -> None:
+    # sets shaped like the benchmark's: 1..400 strings of length 0..20
+    rng = random.Random(4711)
+    for _ in range(800):
+        strings = [
+            "".join(rng.choice("01") for _ in range(rng.randint(0, 20)))
+            for _ in range(rng.randint(1, 400))
+        ]
+        assert cover_measure(strings) == expanding_cover_measure(strings)
+
+
+@settings(derandomize=True, max_examples=300, database=None)
+@given(st.lists(bit_strings, max_size=24))
+def test_cover_measure_property(strings: list[str]) -> None:
+    assert as_fraction(cover_measure(strings)) == leaf_count_measure(set(strings))
+
+
+def test_covered_strings_are_still_checked() -> None:
+    for call in (prefix_freeize, cover_measure):
+        with pytest.raises(ValueError):
+            call(["0", "0x"])
 
 
 def test_cover_measure_of_antichain_is_kraft_sum() -> None:
