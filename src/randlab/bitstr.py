@@ -39,7 +39,7 @@ def _check_bits(b: str) -> str:
 class Dyadic:
     """Exact non-negative dyadic rational num / 2**scale.
 
-    Canonical form: ``num`` is odd, or ``num == 0`` and ``scale == 0``.
+    Canonical form: ``num`` is odd, or ``scale == 0`` (a whole number).
     The constructor canonicalizes, so equality and hashing are structural.
     """
 

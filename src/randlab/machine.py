@@ -186,7 +186,10 @@ def _tm_status(table, inp: str, cap: int):
 # proven permanent divergence, or ("u", cap) when neither is settled yet.
 # Statuses refine monotonically in cap and are memoized per context; every
 # recursive probe runs at a strictly smaller cap (dispatch, pair rounds) or
-# on structurally smaller input (pad), so evaluation terminates.
+# on structurally smaller input (pad), so evaluation terminates.  A proven
+# divergence carries no cap: a memoized ("d",) is the answer at every cap,
+# so a warm context may say ("d",) where a fresh one at a smaller cap still
+# says ("u", cap).  Both are true, and statuses still only refine.
 
 
 def _cached(memo: dict, key, cap: int):

@@ -10,7 +10,9 @@ All measures are exact dyadics over the materialized sets, and verdicts are
 three-valued: a measure over the bound is a definite failure even when the
 materialization is partial (deeper materializations only grow covers), a
 pass is only issued when the horizon was reached, and everything else stays
-indeterminate.
+indeterminate.  Each sense-1 test keeps a rank-indexed level table, built on
+first use: entry r is the level of the r-th string in length-lex order, so
+one table serves every depth and every materializer evaluates a string once.
 
 The bridges to program-length complexity run in both directions: the
 compression test materializes the strings whose budgeted prefix complexity
@@ -21,10 +23,11 @@ table machine, making the resulting complexity drop executable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable
 
-from .bitstr import DYADIC_ONE, DYADIC_ZERO, Dyadic, _check_bits, all_strings
+from .bitstr import DYADIC_ONE, DYADIC_ZERO, Dyadic, _check_bits, all_strings, index_to_string
 from .complexity import _compressible, prefix_k
 from .machine import DEFAULT_BUDGET, REG_CODE_TABLE, install_code_table
 from .prefixfree import cover_measure, kraft_code, prefix_freeize
@@ -47,6 +50,8 @@ class Sense1Test:
     name: str
     evaluate: Callable[[str], int | None]
     horizon: Callable[[int], int | None]
+    # _levels[r] == evaluate(index_to_string(r)); filled on first use by _event
+    _levels: list[int | None] = field(default_factory=list, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -113,27 +118,40 @@ def _count_101(b: str) -> int | None:
     return sum(1 for i in range(len(b) - 2) if b[i : i + 3] == "101")
 
 
+_BUILTIN = (
+    Sense1Test("leading-zeros", _leading_zeros, lambda m: m),
+    Sense1Test("even-ones", _even_position_ones, lambda m: max(0, 2 * m - 1)),
+    Sense1Test("zeros-after-111", _zeros_after_111, lambda m: m + 3),
+)
+_COUNT101 = Sense1Test("count101", _count_101, lambda m: 5 * m)
+
+
 def builtin_tests() -> list[Sense1Test]:
-    """The valid built-in sense-1 tests with their exact horizons."""
-    return [
-        Sense1Test("leading-zeros", _leading_zeros, lambda m: m),
-        Sense1Test("even-ones", _even_position_ones, lambda m: max(0, 2 * m - 1)),
-        Sense1Test("zeros-after-111", _zeros_after_111, lambda m: m + 3),
-    ]
+    """The valid built-in sense-1 tests with their exact horizons; the same
+    objects on every call, so their level tables are shared."""
+    return list(_BUILTIN)
 
 
 def registered_tests() -> dict[str, Sense1Test]:
     """All named tests, including the 101-counter, which is deliberately NOT
     a Martin-Löf test (its level-m events outweigh 2^-m) and serves as the
     negative fixture."""
-    tests = {t.name: t for t in builtin_tests()}
-    tests["count101"] = Sense1Test("count101", _count_101, lambda m: 5 * m)
-    return tests
+    return {t.name: t for t in _BUILTIN + (_COUNT101,)}
 
 
 # ---------------------------------------------------------------------------
 # validation and scoring of sense-1 tests
 # ---------------------------------------------------------------------------
+
+
+def _event(t: Sense1Test, least: int, d: int) -> list[str]:
+    """The strings of length <= d whose level is at least `least`, in
+    length-lex order.  They are the ranks below 2^(d+1) - 1, so one table
+    serves every depth; a deeper request extends it in place."""
+    levels, size = t._levels, (1 << max(d + 1, 0)) - 1
+    if len(levels) < size:
+        levels.extend(map(t.evaluate, islice(all_strings(d), len(levels), None)))
+    return [index_to_string(r) for r in range(size) if (v := levels[r]) is not None and v >= least]
 
 
 def validate_sense1(
@@ -150,12 +168,7 @@ def validate_sense1(
         h = t.horizon(m)
         settled = h is not None and h <= depth
         eval_depth = h if settled else depth
-        event = [
-            b
-            for b in all_strings(eval_depth)
-            if (v := t.evaluate(b)) is not None and v >= m
-        ]
-        measure = cover_measure(event)
+        measure = cover_measure(_event(t, m, eval_depth))
         bound = Dyadic(1, m)
         if measure > bound:
             verdict = "fail"
@@ -170,12 +183,8 @@ def validate_sense1(
 def level_sense1(t: Sense1Test, prefix: str) -> int:
     """Max level of t over all initial segments of `prefix`; 0 if t is
     undefined on every one of them."""
-    best = 0
-    for i in range(len(_check_bits(prefix)) + 1):
-        v = t.evaluate(prefix[:i])
-        if v is not None and v > best:
-            best = v
-    return best
+    levels = (t.evaluate(prefix[:i]) for i in range(len(_check_bits(prefix)) + 1))
+    return max([0] + [v for v in levels if v is not None])
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +200,7 @@ def sense1_to_sense2(t: Sense1Test, depth: int = DEFAULT_DEPTH) -> Sense2Test:
         d = min(d, depth)
         if n == 0:
             return frozenset(all_strings(d))
-        return frozenset(
-            b for b in all_strings(d) if (v := t.evaluate(b)) is not None and v > n
-        )
+        return frozenset(_event(t, n + 1, d))
 
     return Sense2Test(f"{t.name}.sense2", materialize)
 
@@ -225,9 +232,12 @@ def _segment(b: str, depth: int) -> int:
 
 
 def _mask(members, depth: int) -> int:
-    mask = 0
-    for b in members:
-        mask |= _segment(b, depth)
+    # the sorted sweep of cover_measure: only minimal members are ORed in
+    mask, last = 0, None
+    for b in sorted(members):
+        if last is None or not b.startswith(last):
+            mask |= _segment(b, depth)
+            last = b
     return mask
 
 
@@ -278,6 +288,10 @@ def chain(f: Sense2Test) -> Sense2Test:
     minimal antichain over depth-d leaves; covers descend as n grows."""
 
     def materialize(n: int, d: int) -> frozenset[str]:
+        if n < 0:
+            raise ValueError(f"chain level must be a natural number, got {n}")
+        if d < 0:
+            return frozenset()
         levels = [f.enumerate(i, d) for i in range(n + 1)]
         depth = max(_leaf_depth(members, d) for members in levels)
         combined = (1 << (1 << depth)) - 1
@@ -369,9 +383,7 @@ def ml_to_kc_decoder(
             else:
                 triples.append((len(b) - n, n, b))
     triples.sort()
-    mass = DYADIC_ZERO
-    for ell, _, _ in triples:
-        mass = mass + Dyadic(1, ell)
+    mass = sum((Dyadic(1, ell) for ell, _, _ in triples), DYADIC_ZERO)
     if mass > DYADIC_ONE:
         raise BridgeMassError(mass)
     codewords = kraft_code([ell for ell, _, _ in triples])

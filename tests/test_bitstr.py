@@ -7,6 +7,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randlab.bitstr import (
     Dyadic,
@@ -135,6 +137,29 @@ def test_dyadic_arithmetic_against_fraction_oracle() -> None:
         assert (a < b) == (as_fraction(a) < as_fraction(b))
         assert (a <= b) == (as_fraction(a) <= as_fraction(b))
         assert (a == b) == (as_fraction(a) == as_fraction(b))
+
+
+dyadics = st.builds(Dyadic, st.integers(0, 2**40), st.integers(0, 48))
+
+
+@settings(derandomize=True, max_examples=400, database=None)
+@given(dyadics, dyadics, st.integers(0, 3))
+def test_dyadic_properties_against_fraction(a, b, k) -> None:
+    fa, fb = as_fraction(a), as_fraction(b)
+    assert as_fraction(a + b) == fa + fb
+    if fa >= fb:
+        assert as_fraction(a - b) == fa - fb
+    else:
+        with pytest.raises(ValueError):
+            a - b
+    assert (a < b, a <= b, a > b, a >= b, a == b) == (fa < fb, fa <= fb, fa > fb, fa >= fb, fa == fb)
+    assert (a < k, a <= k, a > k, a >= k, a == k) == (fa < k, fa <= k, fa > k, fa >= k, fa == k)
+    if fa == fb:
+        assert (a.num, a.scale, hash(a)) == (b.num, b.scale, hash(b))
+    assert bool(a) == bool(fa)
+    # canonical form: an odd numerator, or a whole number over 2^0
+    assert a.num % 2 == 1 or a.scale == 0
+    assert parse_dyadic(str(a)) == a
 
 
 def test_dyadic_rejects_negatives() -> None:

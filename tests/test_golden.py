@@ -78,3 +78,20 @@ def test_horizon_without_report_exits_one(k, tmp_path, default_registry) -> None
     out = tmp_path / "report.txt"
     assert main(["complexity", "horizon", "--k", k, "--out", str(out)]) == 1
     assert not out.exists()
+
+
+MLTEST = [case for case in GOLDEN if case[0][0] == "mltest"]
+
+
+@pytest.mark.parametrize("first", ["forward", "reversed"])
+def test_mltest_reports_in_a_warm_process(first, tmp_path, default_registry) -> None:
+    """Each mltest command twice in one process, once in each order: the
+    level tables shared across commands and depths change no report."""
+    orders = [MLTEST, MLTEST[::-1]]
+    if first == "reversed":
+        orders.reverse()
+    for i, cases in enumerate(orders):
+        for j, (argv, code, digest) in enumerate(cases):
+            out = tmp_path / f"report-{i}-{j}.txt"
+            assert main(argv + ["--out", str(out)]) == code, argv
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv

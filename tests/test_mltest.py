@@ -8,11 +8,20 @@ confirm the advertised program lengths and costs.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from operator import or_
+from pathlib import Path
 
 import pytest
 
+import randlab
 from randlab.bitstr import DYADIC_ONE, DYADIC_ZERO, Dyadic, all_strings
 from randlab.complexity import prefix_k
 from randlab.machine import (
@@ -24,6 +33,7 @@ from randlab.machine import (
 )
 from randlab.mltest import (
     BridgeMassError,
+    LevelVerdict,
     Sense1Test,
     Sense2Test,
     builtin_tests,
@@ -39,6 +49,7 @@ from randlab.mltest import (
     universal_test,
     validate_sense1,
 )
+from randlab.mltest import _mask, _segment
 from randlab.prefixfree import cover_measure, is_prefix_free
 
 BIG = 100_000
@@ -293,6 +304,157 @@ def test_sense2_to_sense1_of_valid_tests_is_nowhere_defined():
 
 
 # ---------------------------------------------------------------------------
+# the rank-indexed level table, against the per-string oracle
+# ---------------------------------------------------------------------------
+
+
+def slow_validate_sense1(t, m_max, depth):
+    """Oracle: validate_sense1 evaluating every string again for every
+    level, as it did before the level table."""
+    verdicts = []
+    for m in range(m_max + 1):
+        h = t.horizon(m)
+        settled = h is not None and h <= depth
+        eval_depth = h if settled else depth
+        event = [
+            b
+            for b in all_strings(eval_depth)
+            if (v := t.evaluate(b)) is not None and v >= m
+        ]
+        measure = cover_measure(event)
+        bound = Dyadic(1, m)
+        if measure > bound:
+            verdict = "fail"
+        elif settled:
+            verdict = "pass"
+        else:
+            verdict = "indeterminate"
+        verdicts.append(LevelVerdict(m, verdict, measure, bound, eval_depth))
+    return verdicts
+
+
+def slow_sense1_to_sense2(t, depth):
+    """Oracle: sense1_to_sense2 evaluating every string on every call."""
+
+    def materialize(n, d):
+        d = min(d, depth)
+        if n == 0:
+            return frozenset(all_strings(d))
+        return frozenset(
+            b for b in all_strings(d) if (v := t.evaluate(b)) is not None and v > n
+        )
+
+    return Sense2Test(f"{t.name}.sense2", materialize)
+
+
+def _ones_and_combs(n, d):
+    # all-ones and 1010... strings of lengths n-2..d: their diagonal fires
+    # on the all-ones strings and on the even-length combs
+    ks = range(max(n - 2, 0), d + 1)
+    return frozenset(["1" * k for k in ks] + ["10" * (k // 2) for k in ks])
+
+
+TABLE_FIXTURES = {
+    **registered_tests(),
+    "diagonal": sense2_to_sense1(Sense2Test("ones", _ones_and_combs)),
+    # levels can be negative, so level -1 differs from level 0
+    "ones-minus-two": Sense1Test(
+        "ones-minus-two",
+        lambda b: b.count("1") - 2 if b.endswith("1") else None,
+        lambda m: m + 2,
+    ),
+}
+
+
+def fresh(t):
+    """The same test as a new object, with an empty level table."""
+    return Sense1Test(t.name, t.evaluate, t.horizon)
+
+
+def table_results(t, d):
+    return (
+        validate_sense1(t, d + 1, d),
+        [sense1_to_sense2(t, d).enumerate(n, d) for n in range(-1, d + 2)],
+    )
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_FIXTURES))
+def test_level_table_matches_the_per_string_oracle(name):
+    t = TABLE_FIXTURES[name]
+    depths = range(-2, 13)
+    oracle = {
+        d: (
+            slow_validate_sense1(t, d + 1, d),
+            [slow_sense1_to_sense2(t, d).enumerate(n, d) for n in range(-1, d + 2)],
+        )
+        for d in depths
+    }
+    # the shared object, a fresh object per depth, and one object asked
+    # rising and one asked falling, which extends its table only once
+    rising, falling = fresh(t), fresh(t)
+    assert {d: table_results(t, d) for d in depths} == oracle
+    assert {d: table_results(fresh(t), d) for d in depths} == oracle
+    assert {d: table_results(rising, d) for d in depths} == oracle
+    assert {d: table_results(falling, d) for d in reversed(depths)} == oracle
+
+
+def test_each_string_is_evaluated_once_per_test_object():
+    calls = Counter()
+    leading_zeros = registered_tests()["leading-zeros"].evaluate
+
+    def evaluate(b):
+        calls[b] += 1
+        return leading_zeros(b)
+
+    t = Sense1Test("counted", evaluate, lambda m: m)
+    conv = sense1_to_sense2(t, 10)
+    validate_sense1(t, 3, 4)
+    for n in range(6):
+        conv.enumerate(n, 10)
+        chain(conv).enumerate(n, 7)
+    validate_sense1(t, 8, 9)
+    universal_test([conv], 2, 10)
+    ml_to_kc_decoder(conv, 3, 10, install=False)
+    assert set(calls) == set(all_strings(10))
+    assert max(calls.values()) == 1
+
+
+def test_importing_randlab_evaluates_nothing():
+    # a fresh interpreter: this process has long since filled its tables
+    code = textwrap.dedent(
+        """
+        import sys
+        names = {"_leading_zeros", "_even_position_ones", "_zeros_after_111", "_count_101", "_event"}
+        seen = []
+        sys.setprofile(
+            lambda frame, event, arg: event == "call"
+            and frame.f_code.co_name in names
+            and seen.append(frame.f_code.co_name)
+        )
+        import randlab, randlab.cli
+        sys.setprofile(None)
+        print(seen, [len(t._levels) for t in randlab.registered_tests().values()])
+        """
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(randlab.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout == "[] [0, 0, 0, 0]\n"
+
+
+def test_registered_tests_are_the_same_objects_on_every_call():
+    assert all(a is b for a, b in zip(builtin_tests(), builtin_tests()))
+    tests = registered_tests()
+    assert all(tests[t.name] is t for t in builtin_tests())
+    assert registered_tests()["count101"] is tests["count101"]
+    # the table is invisible to construction, equality and repr
+    t = tests["leading-zeros"]
+    validate_sense1(t, 2, 4)
+    assert fresh(t) == t and hash(fresh(t)) == hash(t) and repr(fresh(t)) == repr(t)
+
+
+# ---------------------------------------------------------------------------
 # normalization
 # ---------------------------------------------------------------------------
 
@@ -362,6 +524,29 @@ def test_chain_matches_brute_leaf_intersection():
             & leaves_below(levels[2], 6)
         )
         assert leaves_below(got, 6) == expected
+
+
+@pytest.mark.parametrize("depth", [-1, -2, -5])
+def test_chain_at_negative_depth_is_empty(depth):
+    linked = chain(sense1_to_sense2(registered_tests()["leading-zeros"]))
+    assert linked.enumerate(0, depth) == frozenset()
+    assert linked.enumerate(3, depth) == frozenset()
+
+
+def test_chain_refuses_a_negative_level():
+    linked = chain(sense1_to_sense2(registered_tests()["leading-zeros"]))
+    with pytest.raises(ValueError, match="-1"):
+        linked.enumerate(-1, 6)
+
+
+def test_mask_of_minimal_members_equals_the_or_of_every_segment():
+    rng = random.Random(2207)
+    pool = list(all_strings(7))
+    for _ in range(200):
+        members = rng.sample(pool, rng.randrange(0, 30))
+        naive = reduce(or_, (_segment(b, 7) for b in members), 0)
+        assert _mask(members, 7) == naive
+    assert _mask(pool, 7) == _segment("", 7) == (1 << 128) - 1
 
 
 def test_chain_measures_descend():

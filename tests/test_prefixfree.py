@@ -309,6 +309,21 @@ def test_kraft_code_on_sorted_antichain_lengths() -> None:
         assert kraft_sum(code) == kraft_sum(antichain)
 
 
+@settings(derandomize=True, max_examples=400, database=None)
+@given(st.lists(st.integers(0, 10), max_size=40))
+def test_kraft_code_accepts_a_sorted_stream_iff_it_fits(lengths) -> None:
+    lengths.sort()
+    fits = sum(Fraction(1, 2**n) for n in lengths) <= 1
+    try:
+        code = kraft_code(lengths)
+    except KraftOverflowError:
+        assert not fits
+    else:
+        assert fits
+        assert [len(c) for c in code] == lengths
+        assert is_prefix_free(code) and len(set(code)) == len(code)
+
+
 def test_kraft_code_overflow_on_infeasible_sorted_lengths() -> None:
     rng = random.Random(808)
     for _ in range(200):
