@@ -331,11 +331,6 @@ def budget_short_programs(
     Membership is budget-relative: a larger budget can reveal a shorter
     program for the same output and evict an entry.
     """
-    best: dict[str, int] = {}
-    halted: list[tuple[str, str]] = []
-    for p in all_strings(len_limit):
-        out = prefix_universal_run(p, budget, len_limit)
-        if out.halted:
-            best.setdefault(out.output, len(p))
-            halted.append((p, out.output))
-    return [p for p, output in halted if best[output] == len(p)]
+    table, _ = _witness_table(True, len_limit, budget)
+    runs = ((p, prefix_universal_run(p, budget, len_limit)) for p in all_strings(len_limit))
+    return [p for p, out in runs if out.halted and len(table[out.output]) == len(p)]

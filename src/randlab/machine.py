@@ -30,9 +30,9 @@ and reproducible:
     pad                inner U cost + |output| + 1
     decoded table      simulated transitions until halt
     U on 1^n 0 d       machine-n cost on d, plus n + 1 dispatch
-    pair on s          2t + i + |s| + 1 where rounds t = 1, 2, 4, ... probe
-                       both halves of every split and (t, i) is the first
-                       round and split index at which both halt within t
+    pair on s          2t + i + |s| + 1 for the least (t, i) such that both
+                       halves of split i halt within round t = 1, 2, 4, ...;
+                       each half is asked once, at the last round that fits
     guarded M on b     j + t for the winning comparable, see below
     V on 1^l 0 a       guarded machine-l cost on a, plus l + 1 dispatch
 
@@ -185,11 +185,12 @@ def _tm_status(table, inp: str, cap: int):
 # A status is ("h", cost, output) with cost <= the queried cap, ("d",) for a
 # proven permanent divergence, or ("u", cap) when neither is settled yet.
 # Statuses refine monotonically in cap and are memoized per context; every
-# recursive probe runs at a strictly smaller cap (dispatch, pair rounds) or
-# on structurally smaller input (pad), so evaluation terminates.  A proven
-# divergence carries no cap: a memoized ("d",) is the answer at every cap,
-# so a warm context may say ("d",) where a fresh one at a smaller cap still
-# says ("u", cap).  Both are true, and statuses still only refine.
+# recursive probe runs at a strictly smaller cap (dispatch; a pair half once
+# at the last round that fits, whose winning round is read off the costs,
+# and at cap - 1 when no split wins) or on structurally smaller input (pad),
+# so evaluation terminates.  A proven divergence carries no cap: a memoized
+# ("d",) is the answer at every cap, so a warm context may say ("d",) where
+# a fresh one at a smaller cap still says ("u", cap).  Both are true.
 
 
 def _cached(memo: dict, key, cap: int):
@@ -296,29 +297,28 @@ class _Context:
         hit = _cached(self._machine, key, cap)
         if hit is not None:
             return hit
+        # a halting cost is cap-free, so ask each half once, at the last round
         base = len(s) + 1
-        status = None
-        t = 1
-        while 2 * t + base <= cap and status is None:
-            for i in range(len(s) + 1):
-                left = self.v_status(s[:i], t)
-                if left[0] != "h":
-                    continue
-                right = self.v_status(s[i:], t)
-                if right[0] != "h":
-                    continue
-                status = ("h", 2 * t + i + base, left[2] + right[2])
-                break
-            t *= 2
-        if status is None:
-            if cap >= 2 and all(
-                self.v_status(s[:i], cap - 1)[0] == "d"
-                or self.v_status(s[i:], cap - 1)[0] == "d"
-                for i in range(len(s) + 1)
-            ):
-                status = ("d",)
-            else:
-                status = ("u", cap)
+        room = (cap - base) // 2  # rounds t <= room fit under the cap
+        top = 1 << (room.bit_length() - 1) if room > 0 else 0
+        wins = []
+        for i in range(len(s) + 1 if top else 0):
+            left = self.v_status(s[:i], top)
+            right = self.v_status(s[i:], top) if left[0] == "h" else left
+            if right[0] == "h":
+                t = 1 << (max(left[1], right[1], 1) - 1).bit_length()
+                wins.append((t, i, left[2] + right[2]))
+        if wins:
+            t, i, out = min(wins)
+            status = ("h", 2 * t + i + base, out)
+        elif cap >= 2 and all(
+            self.v_status(s[:i], cap - 1)[0] == "d"
+            or self.v_status(s[i:], cap - 1)[0] == "d"
+            for i in range(len(s) + 1)
+        ):
+            status = ("d",)
+        else:
+            status = ("u", cap)
         return _settle(self._machine, key, status, cap)
 
     # -- the prefix guard ---------------------------------------------------

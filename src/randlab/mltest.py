@@ -30,7 +30,7 @@ from typing import Callable
 from .bitstr import DYADIC_ONE, DYADIC_ZERO, Dyadic, _check_bits, all_strings, index_to_string
 from .complexity import _compressible, prefix_k
 from .machine import DEFAULT_BUDGET, REG_CODE_TABLE, install_code_table
-from .prefixfree import cover_measure, kraft_code, prefix_freeize
+from .prefixfree import _minimal, cover_measure, kraft_code, prefix_freeize
 
 DEFAULT_DEPTH = 15
 # prefix searches need to see the echo witnesses of the strings they score
@@ -232,13 +232,8 @@ def _segment(b: str, depth: int) -> int:
 
 
 def _mask(members, depth: int) -> int:
-    # the sorted sweep of cover_measure: only minimal members are ORed in
-    mask, last = 0, None
-    for b in sorted(members):
-        if last is None or not b.startswith(last):
-            mask |= _segment(b, depth)
-            last = b
-    return mask
+    # minimal members have disjoint segments, so their sum is their OR
+    return sum(_segment(b, depth) for b in _minimal(members))
 
 
 def _mask_to_antichain(mask: int, depth: int) -> list[str]:
@@ -292,8 +287,10 @@ def chain(f: Sense2Test) -> Sense2Test:
             raise ValueError(f"chain level must be a natural number, got {n}")
         if d < 0:
             return frozenset()
-        levels = [f.enumerate(i, d) for i in range(n + 1)]
-        depth = max(_leaf_depth(members, d) for members in levels)
+        # a level holding "" is the whole space at every depth, so it is
+        # neither sorted nor scanned: it cannot narrow the intersection
+        levels = [m for m in (f.enumerate(i, d) for i in range(n + 1)) if "" not in m]
+        depth = max((_leaf_depth(members, d) for members in levels), default=d)
         combined = (1 << (1 << depth)) - 1
         for members in levels:
             combined &= _mask(members, depth)

@@ -27,14 +27,21 @@ class KraftOverflowError(ValueError):
         self.length = length
 
 
+def _minimal(strings: Iterable[str]) -> list[str]:
+    """The sorted members with no proper prefix among the others."""
+    # sorted order puts a prefix immediately before its extensions, so a
+    # string is covered iff it extends the last string kept
+    kept: list[str] = []
+    for b in sorted(set(map(_check_bits, strings))):
+        if not kept or not b.startswith(kept[-1]):
+            kept.append(b)
+    return kept
+
+
 def is_prefix_free(strings: Iterable[str]) -> bool:
     """True iff no member is a proper prefix of another member."""
-    ordered = sorted(set(map(_check_bits, strings)))
-    # sorted order puts a prefix immediately before its lexicographically
-    # least extension, so adjacent checks suffice
-    return all(
-        not ordered[i + 1].startswith(ordered[i]) for i in range(len(ordered) - 1)
-    )
+    members = set(strings)
+    return len(_minimal(members)) == len(members)
 
 
 def kraft_sum(strings: Iterable[str]) -> Dyadic:
@@ -79,13 +86,7 @@ def prefix_freeize(strings: Iterable[str]) -> frozenset[str]:
 
 def cover_measure(strings: Iterable[str]) -> Dyadic:
     """Exact measure of the union of cylinders above the given strings."""
-    # sorted order puts a prefix immediately before its extensions, so a
-    # string is covered iff it extends the last string kept
-    kept: list[str] = []
-    for b in sorted(set(map(_check_bits, strings))):
-        if not kept or not b.startswith(kept[-1]):
-            kept.append(b)
-    return kraft_sum(kept)
+    return kraft_sum(_minimal(strings))
 
 
 def kraft_code_stream(lengths: Iterable[int]) -> Iterator[str]:

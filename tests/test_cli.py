@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import randlab
 from randlab.bitstr import Dyadic, parse_dyadic
 from randlab.cli import main, unspell
 from randlab.machine import current_code_table
@@ -381,3 +386,19 @@ def test_file_errors_end_with_one_line(capsys, tmp_path):
         assert (code, out) == (1, "")
         assert err.startswith("randlab: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def test_a_stack_overflow_ends_with_one_line():
+    # the status engine's depth still grows with the budget here; whatever
+    # the command returns, it ends without a traceback.  A subprocess keeps
+    # this process's memo from answering in its place
+    env = {**os.environ, "PYTHONPATH": str(Path(randlab.__file__).parents[1])}
+    argv = ["mltest", "score", "--subject", "0000", "--budget", "1500000"]
+    done = subprocess.run(
+        [sys.executable, "-m", "randlab.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert done.returncode in (0, 1)
+    assert "Traceback" not in done.stderr
+    if done.returncode == 1:
+        assert done.stdout == ""
+        assert done.stderr.startswith("randlab: ") and done.stderr.count("\n") == 1

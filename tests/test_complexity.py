@@ -403,6 +403,20 @@ def test_short_programs_budget_monotone() -> None:
         assert output in large and large[output] <= length
 
 
+@pytest.mark.parametrize("len_limit,budget", [(8, 20), (8, BIG), (9, 1000), (10, BIG)])
+def test_short_programs_match_a_per_output_rescan(len_limit, budget) -> None:
+    # the witness table's first program per output against a fresh scan
+    best: dict[str, int] = {}
+    halted = []
+    for p in all_strings(len_limit):
+        out = prefix_universal_run(p, budget, len_limit)
+        if out.halted:
+            best.setdefault(out.output, len(p))
+            halted.append((p, out.output))
+    expected = [p for p, output in halted if best[output] == len(p)]
+    assert budget_short_programs(len_limit, budget) == expected
+
+
 # ---------------------------------------------------------------------------
 # registry constants
 # ---------------------------------------------------------------------------

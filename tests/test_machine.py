@@ -442,6 +442,114 @@ def test_memo_rule_across_query_orders(universal) -> None:
 
 
 # ---------------------------------------------------------------------------
+# the pair machine against its round loop
+# ---------------------------------------------------------------------------
+
+
+class RoundLoopContext(machine._Context):
+    """The pair machine as first written, kept as the oracle: rounds
+    t = 1, 2, 4, ... ask both halves of every split at cap t until some
+    split has both halves halting within t."""
+
+    def _pair_status(self, s: str, cap: int):
+        key = ("pair", s)
+        hit = machine._cached(self._machine, key, cap)
+        if hit is not None:
+            return hit
+        base = len(s) + 1
+        status = None
+        t = 1
+        while 2 * t + base <= cap and status is None:
+            for i in range(len(s) + 1):
+                left = self.v_status(s[:i], t)
+                if left[0] != "h":
+                    continue
+                right = self.v_status(s[i:], t)
+                if right[0] != "h":
+                    continue
+                status = ("h", 2 * t + i + base, left[2] + right[2])
+                break
+            t *= 2
+        if status is None:
+            if cap >= 2 and all(
+                self.v_status(s[:i], cap - 1)[0] == "d"
+                or self.v_status(s[i:], cap - 1)[0] == "d"
+                for i in range(len(s) + 1)
+            ):
+                status = ("d",)
+            else:
+                status = ("u", cap)
+        return machine._settle(self._machine, key, status, cap)
+
+
+def pair_caps(s: str) -> list[int]:
+    # both sides of the round boundaries 2t + |s| + 1, from 0 to BIG
+    rounds = (1, 2, 4, 8, 64)
+    return [0, 1, 2] + [2 * t + len(s) + 1 + e for t in rounds for e in (-1, 0)] + [BIG]
+
+
+@pytest.mark.parametrize("len_limit", [10, 13])
+def test_pair_statuses_match_the_round_loop(len_limit) -> None:
+    # every pair input up to length 10, its caps asked rising and falling in
+    # a context of its own, and in a fresh context per query (the first
+    # rising and the first falling query, at 0 and BIG, are fresh already)
+    def engines():
+        return machine._Context(len_limit, ()), RoundLoopContext(len_limit, ())
+
+    halted = 0
+    for s in all_strings(10):
+        caps = pair_caps(s)
+        rising, falling = engines(), engines()
+        for cap in caps:
+            new, old = (ctx._pair_status(s, cap) for ctx in rising)
+            assert new == old, ("rising", s, cap)
+            halted += new[0] == "h"
+        for cap in reversed(caps):
+            new, old = (ctx._pair_status(s, cap) for ctx in falling)
+            assert new == old, ("falling", s, cap)
+        for cap in caps[1:-1]:
+            new, old = (ctx._pair_status(s, cap) for ctx in engines())
+            assert new == old, ("fresh", s, cap)
+    assert halted > 0
+
+
+class CapSpyContext(machine._Context):
+    """Records, for every pair evaluation, the caps at which it asks V."""
+
+    def __init__(self, len_limit: int):
+        super().__init__(len_limit, ())
+        self.stack: list[set[int]] = []
+        self.asked: list[set[int]] = []
+
+    def _pair_status(self, s: str, cap: int):
+        self.stack.append(set())
+        try:
+            return super()._pair_status(s, cap)
+        finally:
+            self.asked.append(self.stack.pop())
+
+    def v_status(self, prog: str, cap: int):
+        if self.stack:  # only pair evaluations ask V from inside the engine
+            self.stack[-1].add(cap)
+        return super().v_status(prog, cap)
+
+
+def test_pair_asks_its_halves_at_two_caps_at_most() -> None:
+    # one cap for the winner search (the last round that fits) and, when no
+    # split wins, cap - 1 for the divergence check; the round loop asked at
+    # every round 1, 2, 4, ... up to the last
+    ctx = CapSpyContext(10)
+    for s in all_strings(7):
+        for cap in (50, 1000, BIG):
+            ctx._pair_status(s, cap)
+    assert len(ctx.asked) > 255
+    assert max(map(len, ctx.asked)) == 2
+    ctx = CapSpyContext(10)
+    ctx._pair_status("11111", 1000)  # no split has a halting half
+    assert ctx.asked == [{256, 999}]
+
+
+# ---------------------------------------------------------------------------
 # the installable code table
 # ---------------------------------------------------------------------------
 

@@ -549,6 +549,26 @@ def test_mask_of_minimal_members_equals_the_or_of_every_segment():
     assert _mask(pool, 7) == _segment("", 7) == (1 << 128) - 1
 
 
+class WholeSpace(frozenset):
+    """A cover holding "" that fails if anyone iterates it."""
+
+    def __iter__(self):
+        raise AssertionError("a cover holding '' was scanned")
+
+
+def test_chain_neither_sorts_nor_scans_a_level_holding_the_empty_string():
+    # such a level is the whole space at every depth, even with members
+    # deeper than the asked depth, so the other levels alone decide
+    covers = [
+        WholeSpace(["", "0101010101", "1"]),
+        frozenset(["01", "10", "110"]),
+        WholeSpace(["", "0"]),
+    ]
+    linked = chain(Sense2Test("covers", lambda n, d: covers[n]))
+    assert linked.enumerate(0, 3) == {""}
+    assert linked.enumerate(1, 3) == linked.enumerate(2, 3) == {"01", "10", "110"}
+
+
 def test_chain_measures_descend():
     conv = sense1_to_sense2(registered_tests()["count101"])
     linked = chain(conv)

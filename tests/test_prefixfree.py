@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from randlab.bitstr import Dyadic
 from randlab.prefixfree import (
     KraftOverflowError,
+    _minimal,
     cover_measure,
     is_prefix_free,
     kraft_code,
@@ -125,6 +126,22 @@ bit_strings = st.text(alphabet="01", max_size=ORACLE_DEPTH)
 )
 def test_is_prefix_free_examples(strings: set[str], expected: bool) -> None:
     assert is_prefix_free(strings) is expected
+
+
+def test_minimal_keeps_exactly_the_members_without_a_proper_prefix() -> None:
+    # the one sorted sweep behind is_prefix_free, cover_measure and the
+    # leaf masks of mltest, against the definition
+    rng = random.Random(1311)
+    pool = [format(i, f"0{n}b") if n else "" for n in range(7) for i in range(1 << n)]
+    for _ in range(300):
+        members = rng.choices(pool, k=rng.randrange(0, 25))  # with repeats
+        unique = set(members)
+        expected = sorted(b for b in unique if not any(b[:i] in unique for i in range(len(b))))
+        assert _minimal(members) == expected
+        pairwise = not any(a != b and b.startswith(a) for a in unique for b in unique)
+        assert is_prefix_free(iter(members)) is pairwise
+    with pytest.raises(ValueError):
+        _minimal(["0", "2"])
 
 
 @pytest.mark.parametrize(
