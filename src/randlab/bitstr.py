@@ -18,6 +18,7 @@ anything through floats.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -40,14 +41,15 @@ class Dyadic:
     """Exact non-negative dyadic rational num / 2**scale.
 
     Canonical form: ``num`` is odd, or ``scale == 0`` (a whole number).
-    The constructor canonicalizes, so equality and hashing are structural.
+    The constructor canonicalizes, so equality and hashing are structural;
+    both parts must be integers (a ``bool`` is stored as its int).
     """
 
     num: int
     scale: int = 0
 
     def __post_init__(self) -> None:
-        num, scale = self.num, self.scale
+        num, scale = operator.index(self.num), operator.index(self.scale)
         if num < 0 or scale < 0:
             raise ValueError(f"dyadic out of range: {num}/2^{scale}")
         if num == 0:
@@ -135,9 +137,14 @@ DYADIC_ZERO = Dyadic(0)
 DYADIC_ONE = Dyadic(1)
 
 
+def render_dyadic(r: Dyadic) -> str:
+    """The CLI report cell for r: 'num/d' with d = 2^scale, or a bare integer."""
+    return str(r.num) if r.scale == 0 else f"{r.num}/{2 ** r.scale}"
+
+
 def parse_dyadic(text: str) -> Dyadic:
     """Parse a bare integer, 'num/2^k' (``str``) or 'num/d' with d a power of
-    two (CLI report cells) into a Dyadic; other denominators are ValueError."""
+    two (``render_dyadic``) into a Dyadic; other denominators are ValueError."""
     text = text.strip()
     if "/" not in text:
         return Dyadic(int(text))

@@ -12,7 +12,7 @@ columns are annotations (dyadic decimals terminate, so they are exact too).
 Exit status: 0 on success, 1 on domain errors, definite failures (Kraft
 overflow, bridge mass violations, failed test levels, exhausted searches)
 and unreadable or unwritable files, 2 on usage errors (including negative
-budgets, stages, depths, limits and counts).
+budgets, stages, depths, limits, counts and codeword lengths).
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
-from .bitstr import Dyadic, all_strings, index_to_string
+from .bitstr import Dyadic, _check_bits, all_strings, index_to_string, render_dyadic
 from .complexity import (
     PAD_SCAN_LIMIT,
     census_incompressible,
@@ -64,24 +63,6 @@ STREAMS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    budget: int
-    len_limit: int
-    depth: int
-    stage: int
-    registry_fingerprint: str
-
-    def as_dict(self) -> dict[str, int | str]:
-        return {
-            "budget": self.budget,
-            "len_limit": self.len_limit,
-            "depth": self.depth,
-            "stage": self.stage,
-            "registry_fingerprint": self.registry_fingerprint,
-        }
-
-
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
@@ -93,15 +74,7 @@ def spell(bits: str) -> str:
 
 
 def unspell(text: str) -> str:
-    if text == "-":
-        return ""
-    if any(c not in "01" for c in text):
-        raise ValueError(f"not a bitstring: {text!r}")
-    return text
-
-
-def render_dyadic(r: Dyadic) -> str:
-    return str(r.num) if r.scale == 0 else f"{r.num}/{2 ** r.scale}"
+    return "" if text == "-" else _check_bits(text)
 
 
 def _cell(value) -> str:
@@ -112,12 +85,12 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _report_text(fmt: str, config: RunConfig, columns: list[str], rows: list[dict]) -> str:
+def _report_text(fmt: str, config: dict, columns: list[str], rows: list[dict]) -> str:
     if fmt == "json":
-        payload = {"config": config.as_dict(), "results": rows}
+        payload = {"config": config, "results": rows}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     buf = io.StringIO()
-    for key, value in sorted(config.as_dict().items()):
+    for key, value in sorted(config.items()):
         buf.write(f"# {key}={value}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -135,9 +108,13 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _emit(args, columns: list[str], rows: list[dict]) -> None:
-    config = RunConfig(
-        args.budget, args.len_limit, args.depth, args.stage, registry_fingerprint()
-    )
+    config = {
+        "budget": args.budget,
+        "len_limit": args.len_limit,
+        "depth": args.depth,
+        "stage": args.stage,
+        "registry_fingerprint": registry_fingerprint(),
+    }
     _write(_report_text(args.format, config, columns, rows), args.out)
 
 
@@ -397,10 +374,7 @@ def _count_arg(text: str) -> int:
 
 
 def _lengths_arg(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.split(",") if part]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a length list: {text!r}") from exc
+    return [_count_arg(part) for part in text.split(",") if part]
 
 
 def _test_names_arg(text: str) -> list[str]:

@@ -34,6 +34,7 @@ from .machine import (
     universal_run,
     universal_status,
 )
+from .prefixfree import cover_measure
 
 PAD_SCAN_LIMIT = 256  # default program-length cap for pad_witness scans
 
@@ -251,10 +252,9 @@ def horizon_search(
     """
     compressible = _compressible(False, k, m_max, len_limit, budget)
     for m in range(m_max + 1):
-        if all(
-            any("".join(bits)[:i] in compressible for i in range(m))
-            for bits in product("01", repeat=m)
-        ):
+        # a prefix shorter than m contains or misses each length-m cylinder,
+        # so the prefixes cover every length-m string iff they cover the space
+        if cover_measure(d for d in compressible if len(d) < m) == 1:
             return m
     return None
 
@@ -278,19 +278,17 @@ def subadditivity_probe(
     """
     strings = list(all_strings(n_max))
     plain, _ = _witness_table(False, len_limit, budget)
+    prefix = {s: prefix_k(s, len_limit, budget) for s in strings}
     pair_overhead = REG_PAIR + 1
 
     gaps = []
+    violations = []
+    checked = 0
     for a, b in product(strings, strings):
         witnesses = (plain.get(a), plain.get(b), plain.get(a + b))
         if all(w is not None for w in witnesses):
             gaps.append(len(witnesses[2]) - len(witnesses[0]) - len(witnesses[1]))
-
-    violations = []
-    checked = 0
-    for a, b in product(strings, strings):
-        ka = prefix_k(a, len_limit, budget)
-        kb = prefix_k(b, len_limit, budget)
+        ka, kb = prefix[a], prefix[b]
         if ka is None or kb is None:
             continue
         checked += 1

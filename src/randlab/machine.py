@@ -468,8 +468,7 @@ def install_code_table(table: dict[str, str]) -> None:
 
 
 def clear_code_table() -> None:
-    global _CODE_TABLE, _FINGERPRINT
-    _CODE_TABLE, _FINGERPRINT = (), _fingerprint(())
+    install_code_table({})
 
 
 def current_code_table() -> dict[str, str]:

@@ -30,7 +30,7 @@ from typing import Callable
 from .bitstr import DYADIC_ONE, DYADIC_ZERO, Dyadic, _check_bits, all_strings, index_to_string
 from .complexity import _compressible, prefix_k
 from .machine import DEFAULT_BUDGET, REG_CODE_TABLE, install_code_table
-from .prefixfree import _minimal, cover_measure, kraft_code, prefix_freeize
+from .prefixfree import _minimal, cover_measure, kraft_code
 
 DEFAULT_DEPTH = 15
 # prefix searches need to see the echo witnesses of the strings they score
@@ -359,7 +359,7 @@ def ml_to_kc_decoder(
     depth: int = DEFAULT_DEPTH,
     install: bool = True,
 ) -> BridgeResult:
-    """Kraft-code the prefix-free-ized slices W_{g(2n)} for n = 1..n_max.
+    """Kraft-code the minimal members of the slices W_{g(2n)}, n = 1..n_max.
 
     Each member b of slice n gets a codeword of length |b| - n; members
     shorter than their n are excluded with a diagnostic.  The total coded
@@ -372,9 +372,7 @@ def ml_to_kc_decoder(
     triples: list[tuple[int, int, str]] = []
     excluded: list[tuple[int, str]] = []
     for n in range(1, n_max + 1):
-        # canonical admission order keeps the antichain at minimal members
-        slice_ = sorted(g.enumerate(2 * n, depth), key=lambda b: (len(b), b))
-        for b in sorted(prefix_freeize(slice_)):
+        for b in _minimal(g.enumerate(2 * n, depth)):
             if len(b) < n:
                 excluded.append((n, b))
             else:

@@ -19,6 +19,7 @@ from randlab.bitstr import (
     index_to_string,
     is_prefix,
     parse_dyadic,
+    render_dyadic,
     string_to_index,
     value_of,
 )
@@ -167,6 +168,27 @@ def test_dyadic_rejects_negatives() -> None:
         Dyadic(-1, 2)
     with pytest.raises(ValueError):
         Dyadic(1, 3) - Dyadic(1, 2)
+
+
+@pytest.mark.parametrize("parts", [(0.5,), (1, 0.5), (Fraction(1, 2),), ("1",), (1, None)])
+def test_dyadic_refuses_parts_that_are_not_integers(parts) -> None:
+    with pytest.raises(TypeError):
+        Dyadic(*parts)
+
+
+def test_dyadic_stores_bools_as_ints() -> None:
+    assert str(Dyadic(True, 1)) == "1/2^1"
+    assert str(Dyadic(1, True)) == "1/2^1"
+    assert Dyadic(True, 1) == Dyadic(1, 1)
+    assert type(Dyadic(True).num) is int and type(Dyadic(2, False).scale) is int
+
+
+def test_render_dyadic_spells_a_power_of_two_denominator() -> None:
+    assert render_dyadic(Dyadic(0, 7)) == "0"
+    assert render_dyadic(Dyadic(3)) == "3"
+    assert render_dyadic(Dyadic(45, 6)) == "45/64"
+    for num, scale in [(1, 1), (23, 5), (45, 6), (1, 64), (6, 4)]:
+        assert parse_dyadic(render_dyadic(Dyadic(num, scale))) == Dyadic(num, scale)
 
 
 def test_dyadic_rendering_round_trips() -> None:

@@ -109,11 +109,22 @@ def test_pfz_reads_set_files(capsys, tmp_path):
 
 
 def test_kraft_codewords_and_overflow(capsys):
-    code, out, _ = run(capsys, "kraft", "--lengths", "1,2,2")
-    assert (code, out) == (0, "0\n10\n11\n")
+    code, out, err = run(capsys, "kraft", "--lengths", "1,2,2")
+    assert (code, out, err) == (0, "0\n10\n11\n", "")
     code, out, err = run(capsys, "kraft", "--lengths", "1,1,1")
     assert (code, out) == (1, "")
     assert "length 1 at index 2" in err
+
+
+def test_unspell_reads_the_report_spelling():
+    assert unspell("-") == ""
+    assert unspell("0110") == "0110"
+    with pytest.raises(ValueError, match="not a binary string: '012'"):
+        unspell("012")
+
+
+def test_render_dyadic_is_the_bitstr_one():
+    assert randlab.cli.render_dyadic is randlab.bitstr.render_dyadic
 
 
 def test_measure_report(capsys):
@@ -360,6 +371,9 @@ def test_validate_formats_share_data(capsys, fmt):
         ("mltest", "universal", "--level", "-2"),
         ("mltest", "bridge", "--test", "leading-zeros", "--n-max", "-3"),
         ("omega", "--budget", "many"),
+        ("kraft", "--lengths", "1,-2"),
+        ("kraft", "--lengths", "1,x"),
+        ("kraft", "--lengths", "2,,1.5"),
     ],
 )
 def test_negative_or_malformed_counts_are_usage_errors(capsys, argv):

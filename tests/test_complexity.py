@@ -9,6 +9,8 @@ it (or traced by hand where noted) before the assertions were written.
 from __future__ import annotations
 
 import itertools
+import random
+from collections import Counter
 
 import pytest
 
@@ -339,6 +341,71 @@ def test_horizon_absent_for_large_k() -> None:
     assert horizon_search(12, m_max=4) is None
 
 
+def scanning_horizon_search(k, m_max, len_limit, budget):
+    """Oracle: the horizon as first written, testing every length-m string
+    for a compressible proper prefix."""
+    compressible = complexity._compressible(False, k, m_max, len_limit, budget)
+    for m in range(m_max + 1):
+        if all(
+            any("".join(bits)[:i] in compressible for i in range(m))
+            for bits in itertools.product("01", repeat=m)
+        ):
+            return m
+    return None
+
+
+def test_horizon_matches_the_scanning_oracle() -> None:
+    # 5 limits x 4 budgets x 7 offsets x 9 horizons = 1,260 cases
+    found = Counter()
+    for len_limit in (4, 6, 8, 10, 12):
+        for budget in (5, 100, 10_000, BIG):
+            for k in range(-3, 4):
+                for m_max in range(9):
+                    m = horizon_search(k, m_max, len_limit, budget)
+                    assert m == scanning_horizon_search(k, m_max, len_limit, budget), (
+                        len_limit, budget, k, m_max,
+                    )
+                    found[m] += 1
+    assert sum(found.values()) == 1260
+    # at these limits only "" is compressible, and only for k < 0
+    assert found == Counter({None: 780, 1: 480})
+
+
+def random_cover(rng, max_len):
+    """A random split of the whole space into cylinders of length <= max_len,
+    with some leaves dropped and some extensions added."""
+    leaves, out = [""], set()
+    while leaves:
+        b = leaves.pop()
+        if len(b) < max_len and rng.random() < 0.6:
+            leaves += [b + "0", b + "1"]
+        elif rng.random() < 0.9:
+            out.add(b)
+    for b in list(out):
+        if rng.random() < 0.3:
+            out.add(b + "".join(rng.choice("01") for _ in range(rng.randint(0, 2))))
+    return frozenset(out)
+
+
+def test_horizon_matches_the_scanning_oracle_on_random_covers(monkeypatch) -> None:
+    # the desk limits only ever give horizon 1, so feed both searches the
+    # same random compressible sets to reach every horizon up to m_max
+    rng = random.Random(20121)
+    found = Counter()
+    for _ in range(400):
+        m_max = rng.randint(0, 8)
+        members = random_cover(rng, rng.randint(0, m_max))
+        monkeypatch.setattr(
+            complexity,
+            "_compressible",
+            lambda prefix, k, max_len, *_: frozenset(b for b in members if len(b) <= max_len),
+        )
+        m = horizon_search(0, m_max, 4, 5)
+        assert m == scanning_horizon_search(0, m_max, 4, 5), (members, m_max)
+        found[m] += 1
+    assert found[None] and all(found[m] for m in range(1, 8))
+
+
 # ---------------------------------------------------------------------------
 # subadditivity
 # ---------------------------------------------------------------------------
@@ -364,6 +431,49 @@ def test_subadditivity_pair_witness_runs() -> None:
     out = prefix_universal_run(prog, 1 << (len(prog) + 1), len_limit=len(prog))
     assert out.halted and out.output == "01"
     assert len(prog) == a.value + b.value + 3
+
+
+def two_pass_subadditivity_probe(n_max, len_limit, budget):
+    """Oracle: the probe as first written, one pass over the pairs for the
+    plain gaps and a second that looks both prefix bounds up again."""
+    strings = list(all_strings(n_max))
+    plain, _ = complexity._witness_table(False, len_limit, budget)
+    pair_overhead = complexity.REG_PAIR + 1
+    gaps = []
+    for a, b in itertools.product(strings, strings):
+        witnesses = (plain.get(a), plain.get(b), plain.get(a + b))
+        if all(w is not None for w in witnesses):
+            gaps.append(len(witnesses[2]) - len(witnesses[0]) - len(witnesses[1]))
+    violations = []
+    checked = 0
+    for a, b in itertools.product(strings, strings):
+        ka = prefix_k(a, len_limit, budget)
+        kb = prefix_k(b, len_limit, budget)
+        if ka is None or kb is None:
+            continue
+        checked += 1
+        prog = "1" * complexity.REG_PAIR + "0" + ka.witness + kb.witness
+        wide_budget = 8 * budget + (1 << (len(prog) + 1))
+        out = prefix_universal_run(prog, wide_budget, max(len_limit, len(prog)))
+        certified = (
+            out.halted
+            and out.output == a + b
+            and len(prog) <= ka.value + kb.value + pair_overhead
+        )
+        if not certified:
+            violations.append((a, b))
+    return complexity.SubadditivityReport(
+        n_max, len_limit, budget, pair_overhead,
+        max(gaps) if gaps else None, len(gaps), tuple(violations), checked,
+    )
+
+
+@pytest.mark.parametrize("len_limit", [8, 10])
+@pytest.mark.parametrize("budget", [10_000, BIG])
+def test_subadditivity_matches_the_two_pass_oracle(len_limit, budget) -> None:
+    for n_max in range(4):
+        report = subadditivity_probe(n_max, len_limit, budget)
+        assert report == two_pass_subadditivity_probe(n_max, len_limit, budget)
 
 
 # ---------------------------------------------------------------------------

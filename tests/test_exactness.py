@@ -1,0 +1,54 @@
+"""Exactness lint: the library computes with ints, strings and Dyadics only.
+
+Every number randlab reports is exact, so its source holds no true division,
+no float literal, no use of the name ``float`` and no ``math`` import.  The
+check reads the syntax tree, so strings and comments may still mention them.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import randlab
+
+SOURCES = sorted(Path(randlab.__file__).parent.glob("*.py"))
+
+
+def inexact_nodes(tree: ast.AST) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        where = f"line {getattr(node, 'lineno', '?')}"
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append(f"{where}: true division")
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append(f"{where}: float constant {node.value!r}")
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append(f"{where}: the name float")
+        elif isinstance(node, ast.Import) and any(
+            alias.name.split(".")[0] == "math" for alias in node.names
+        ):
+            found.append(f"{where}: math import")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "math":
+            found.append(f"{where}: math import")
+    return found
+
+
+def test_the_lint_sees_every_kind_of_inexact_code() -> None:
+    snippet = "import math\nfrom math import log2\nx = 1 / 2\nx /= 2\ny = 0.5\nz = float(3)\n"
+    assert len(inexact_nodes(ast.parse(snippet))) == 6
+    exact = "x = 7 // 2\nx //= 2\ns = 'a / b, 0.5, float, math'\n"
+    assert inexact_nodes(ast.parse(exact)) == []
+
+
+def test_the_lint_reads_the_whole_package() -> None:
+    names = {path.name for path in SOURCES}
+    assert {"bitstr.py", "machine.py", "complexity.py", "mltest.py", "cli.py"} <= names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_source_is_exact(path: Path) -> None:
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert inexact_nodes(tree) == []

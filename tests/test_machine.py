@@ -10,6 +10,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randlab import machine
 from randlab.bitstr import all_strings, index_to_string, string_to_index
@@ -439,6 +441,33 @@ def test_memo_rule_across_query_orders(universal) -> None:
             else:
                 assert after == before, prog
     assert carried > 0  # the falling order did reach a carried divergence
+
+
+programs = st.text(alphabet="01", max_size=10)
+# small caps as often as large ones, so that "u" settling is seen
+caps = st.lists(st.integers(0, 200) | st.integers(0, BIG), min_size=1, max_size=6).map(sorted)
+
+
+@pytest.mark.parametrize("universal", ["u_status", "v_status"])
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(prog=programs, caps=caps)
+def test_statuses_only_refine_as_the_cap_grows(universal, prog, caps) -> None:
+    # a fresh context per query, so no memo carries a status across caps:
+    # "u" names its cap, and once "h" or "d" it never changes again
+    statuses = [getattr(machine._Context(10, ()), universal)(prog, cap) for cap in caps]
+    for cap, status in zip(caps, statuses):
+        assert status in (("u", cap), ("d",)) or (status[0] == "h" and status[1] <= cap)
+    for before, after in zip(statuses, statuses[1:]):
+        if before[0] != "u":
+            assert after == before
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(len_limit=st.integers(0, 10), budget=st.integers(0, BIG))
+def test_v_halted_set_is_prefix_free(len_limit, budget) -> None:
+    ctx = machine._Context(len_limit, ())
+    halted = [p for p in all_strings(len_limit) if ctx.v_status(p, budget)[0] == "h"]
+    assert is_prefix_free(halted)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from randlab.machine import (
 )
 from randlab.mltest import (
     BridgeMassError,
+    BridgeResult,
     LevelVerdict,
     Sense1Test,
     Sense2Test,
@@ -50,7 +51,7 @@ from randlab.mltest import (
     validate_sense1,
 )
 from randlab.mltest import _mask, _segment
-from randlab.prefixfree import cover_measure, is_prefix_free
+from randlab.prefixfree import cover_measure, is_prefix_free, kraft_code, prefix_freeize
 
 BIG = 100_000
 
@@ -689,6 +690,66 @@ def test_bridge_mass_overflow_is_reported_exactly():
     with pytest.raises(BridgeMassError) as err:
         ml_to_kc_decoder(f, 1, install=False)
     assert err.value.mass == Dyadic(2, 0)
+
+
+def freeizing_ml_to_kc_decoder(g, n_max, depth):
+    """Oracle: the bridge as first written, admitting each slice in
+    length-lex order through prefix_freeize and sorting the antichain."""
+    triples, excluded = [], []
+    for n in range(1, n_max + 1):
+        slice_ = sorted(g.enumerate(2 * n, depth), key=lambda b: (len(b), b))
+        for b in sorted(prefix_freeize(slice_)):
+            if len(b) < n:
+                excluded.append((n, b))
+            else:
+                triples.append((len(b) - n, n, b))
+    triples.sort()
+    mass = sum((Dyadic(1, ell) for ell, _, _ in triples), DYADIC_ZERO)
+    if mass > DYADIC_ONE:
+        raise BridgeMassError(mass)
+    codewords = kraft_code([ell for ell, _, _ in triples])
+    decoder = tuple(zip(codewords, [b for _, _, b in triples]))
+    return BridgeResult(tuple(triples), decoder, mass, tuple(excluded), 5)
+
+
+def bridge_outcome(bridge, g, n_max, depth):
+    try:
+        return bridge(g, n_max, depth)
+    except BridgeMassError as err:
+        return ("overflow", err.mass)
+
+
+def test_bridge_matches_the_freeizing_oracle():
+    # 4 registered tests x 3 depths x 3 forms x n_max 0..3 = 144 cases
+    outcomes = Counter()
+    for t in registered_tests().values():
+        for depth in (4, 8, 12):
+            raw = sense1_to_sense2(t, depth)
+            for g in (raw, normalize(raw), chain(raw)):
+                for n_max in range(4):
+                    got = bridge_outcome(
+                        lambda *a: ml_to_kc_decoder(*a, install=False), g, n_max, depth
+                    )
+                    assert got == bridge_outcome(freeizing_ml_to_kc_decoder, g, n_max, depth)
+                    outcomes[type(got).__name__] += 1
+    assert outcomes == Counter({"BridgeResult": 144})
+    # random slices, most of them far too heavy for a valid test
+    rng = random.Random(2012)
+    for _ in range(300):
+        levels = {
+            n: frozenset(
+                "".join(rng.choice("01") for _ in range(rng.randint(0, 7)))
+                for _ in range(rng.randint(0, 12))
+            )
+            for n in (2, 4, 6)
+        }
+        g = Sense2Test("random", lambda n, d, levels=levels: levels.get(n, frozenset()))
+        n_max = rng.randint(0, 3)
+        got = bridge_outcome(lambda *a: ml_to_kc_decoder(*a, install=False), g, n_max, 8)
+        assert got == bridge_outcome(freeizing_ml_to_kc_decoder, g, n_max, 8)
+        outcomes[type(got).__name__] += 1
+    assert outcomes["tuple"] > 50 and outcomes["BridgeResult"] > 194
+    assert current_code_table() == {}
 
 
 def test_bridge_excludes_targets_shorter_than_their_slice():
