@@ -23,7 +23,7 @@ import io
 import json
 import sys
 
-from .bitstr import Dyadic, _check_bits, all_strings, index_to_string, render_dyadic
+from .bitstr import _check_bits, all_strings, index_to_string, render_dyadic
 from .complexity import (
     PAD_SCAN_LIMIT,
     census_incompressible,
@@ -37,7 +37,6 @@ from .complexity import (
 from .machine import (
     DEFAULT_BUDGET,
     DEFAULT_LEN_LIMIT,
-    dovetail_events,
     registry_fingerprint,
 )
 from .mltest import (
@@ -51,7 +50,7 @@ from .mltest import (
     universal_test,
     validate_sense1,
 )
-from .omega import omega_lower_bound, psi_reconstruct
+from .omega import _stage_replay, psi_reconstruct
 from .prefixfree import cover_measure, is_prefix_free, kraft_code, kraft_sum, prefix_freeize
 
 DEFAULT_STAGE = 4096
@@ -263,9 +262,8 @@ def _cmd_omega(args) -> int:
         _emit(args, ["program"], [{"program": spell(p)} for p in _canonical(halted)])
         return 0
     rows = []
-    running = Dyadic(0, 0)
-    for event in dovetail_events(args.stage, args.len_limit):
-        running = running + Dyadic(1, len(event.program))
+    events, bounds = _stage_replay(args.stage, args.len_limit)
+    for event, running in zip(events, bounds[1:]):
         rows.append(
             {
                 "program": spell(event.program),

@@ -16,6 +16,7 @@ derived from the registry indices so tests can pin them as numbers.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable
@@ -115,6 +116,7 @@ def registry_constants() -> dict[str, int]:
 
 
 def _witness_table(prefix: bool, len_limit: int, budget: int) -> tuple[dict, str | None]:
+    budget = operator.index(budget)  # before the lookup: 1e5 == 100_000 as a key
     if len_limit < 0:
         return {}, None  # no programs, and no universe to hold the table
     tables = _context(len_limit).tables

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -218,16 +219,23 @@ def _settle(memo: dict, key, status, cap: int):
 
 
 class _Context:
-    """Memoized statuses for one (len_limit, installed code table) pair, and
-    its first-witness tables: (prefix, budget) -> (output -> first program,
-    first program left unresolved at the budget or None)."""
+    """Memoized statuses for one (len_limit, installed code table) pair; its
+    first-witness tables: (prefix, budget) -> (output -> first program, first
+    program left unresolved at the budget or None); and its dovetail replay:
+    events in ordinal order, masses[k] = the first k events' Kraft mass times
+    2^len_limit, and the pair (ordinal, diagonal, j) where the replay stopped."""
 
-    __slots__ = ("len_limit", "code_table", "tables", "_machine", "_guard", "_u", "_v")
+    __slots__ = ("len_limit", "code_table", "tables", "events", "masses", "replay_at",
+                 "_programs", "_machine", "_guard", "_u", "_v")
 
     def __init__(self, len_limit: int, code_table: tuple[tuple[str, str], ...]):
         self.len_limit = len_limit
         self.code_table = dict(code_table)
         self.tables: dict[tuple[bool, int], tuple[dict[str, str], str | None]] = {}
+        self.events: list[DovetailEvent] = []
+        self.masses = [0]
+        self.replay_at = (0, 1, 0)
+        self._programs = [""]  # index_to_string(j) for every rank j replayed
         self._machine: dict = {}
         self._guard: dict = {}
         self._u: dict = {}
@@ -324,12 +332,14 @@ class _Context:
     # -- the prefix guard ---------------------------------------------------
 
     def _comparables(self, b: str):
-        for k in range(len(b) + 1):
-            yield string_to_index(b[:k]), b[:k]
-        top = string_to_index(b) + 1
+        rank = 0
+        yield 0, ""
+        for k in range(1, len(b) + 1):
+            rank = 2 * rank + (2 if b[k - 1] == "1" else 1)
+            yield rank, b[:k]
         for length in range(len(b) + 1, self.len_limit + 1):
             width = length - len(b)
-            start = (top << width) - 1
+            start = ((rank + 1) << width) - 1
             for off in range(1 << width):
                 yield start + off, b + format(off, f"0{width}b")
 
@@ -419,6 +429,36 @@ class _Context:
             status = self._dispatch(self.guard_status, prog, cap)
         return _settle(self._v, prog, status, cap)
 
+    # -- the dovetail replay -------------------------------------------------
+
+    def advance(self, stage: int) -> bool:
+        """Replay on to the next event or to ordinal `stage`; True on an event."""
+        ordinal, diagonal, j = self.replay_at
+        while ordinal < stage:
+            if j == diagonal:
+                diagonal, j = diagonal + 1, 0
+                self._programs.append(index_to_string(diagonal - 1))
+            prog, s = self._programs[j], diagonal - j
+            st = self.v_status(prog, s)
+            ordinal, j = ordinal + 1, j + 1
+            if st[0] == "h" and st[1] == s:
+                self.replay_at = (ordinal, diagonal, j)
+                outcome = BudgetedOutcome("halted", st[2], s, s)
+                self.events.append(DovetailEvent(prog, ordinal - 1, outcome))
+                self.masses.append(self.masses[-1] + (1 << (self.len_limit - len(prog))))
+                return True
+        self.replay_at = (ordinal, diagonal, j)
+        return False
+
+    def events_below(self, stage: int):
+        """Yield the events with ordinal < stage, replaying only as far as consumed."""
+        k = 0
+        while k < len(self.events) or self.advance(stage):
+            if self.events[k].stage >= stage:
+                return
+            yield self.events[k]
+            k += 1
+
 
 # ---------------------------------------------------------------------------
 # context registry and the installable code table
@@ -490,10 +530,15 @@ def _outcome(status, budget: int) -> BudgetedOutcome:
     return BudgetedOutcome("exhausted", None, budget, budget)
 
 
-def _check_budget(budget: int) -> int:
+def _check_budget(budget: int, what: str = "budget") -> int:
+    budget = operator.index(budget)
     if budget < 0:
-        raise ValueError("budget must be nonnegative")
+        raise ValueError(f"{what} must be nonnegative")
     return budget
+
+
+def _check_stage(stage: int) -> int:
+    return _check_budget(stage, "stage")
 
 
 def run(
@@ -502,22 +547,22 @@ def run(
     budget: int,
     len_limit: int = DEFAULT_LEN_LIMIT,
 ) -> BudgetedOutcome:
-    ctx = _context(len_limit)
-    return _outcome(ctx.m_status(machine, _check_bits(inp), _check_budget(budget)), budget)
+    budget = _check_budget(budget)
+    return _outcome(_context(len_limit).m_status(machine, _check_bits(inp), budget), budget)
 
 
 def universal_run(
     inp: str, budget: int, len_limit: int = DEFAULT_LEN_LIMIT
 ) -> BudgetedOutcome:
-    ctx = _context(len_limit)
-    return _outcome(ctx.u_status(_check_bits(inp), _check_budget(budget)), budget)
+    budget = _check_budget(budget)
+    return _outcome(_context(len_limit).u_status(_check_bits(inp), budget), budget)
 
 
 def prefix_universal_run(
     prog: str, budget: int, len_limit: int = DEFAULT_LEN_LIMIT
 ) -> BudgetedOutcome:
-    ctx = _context(len_limit)
-    return _outcome(ctx.v_status(_check_bits(prog), _check_budget(budget)), budget)
+    budget = _check_budget(budget)
+    return _outcome(_context(len_limit).v_status(_check_bits(prog), budget), budget)
 
 
 _STATUS_NAMES = {"h": "halted", "d": "diverges", "u": "unresolved"}
@@ -526,16 +571,14 @@ _STATUS_NAMES = {"h": "halted", "d": "diverges", "u": "unresolved"}
 def universal_status(inp: str, budget: int, len_limit: int = DEFAULT_LEN_LIMIT) -> str:
     """Classify U on `inp`: "halted" within budget, certified "diverges"
     (no budget will ever help), or "unresolved" at this budget."""
-    ctx = _context(len_limit)
-    return _STATUS_NAMES[ctx.u_status(_check_bits(inp), _check_budget(budget))[0]]
+    return _STATUS_NAMES[_context(len_limit).u_status(_check_bits(inp), _check_budget(budget))[0]]
 
 
 def prefix_universal_status(
     prog: str, budget: int, len_limit: int = DEFAULT_LEN_LIMIT
 ) -> str:
     """Classify V on `prog` the way universal_status classifies U."""
-    ctx = _context(len_limit)
-    return _STATUS_NAMES[ctx.v_status(_check_bits(prog), _check_budget(budget))[0]]
+    return _STATUS_NAMES[_context(len_limit).v_status(_check_bits(prog), _check_budget(budget))[0]]
 
 
 def dovetail_events(stage: int, len_limit: int = DEFAULT_LEN_LIMIT):
@@ -544,24 +587,9 @@ def dovetail_events(stage: int, len_limit: int = DEFAULT_LEN_LIMIT):
     Pairs (program rank j, step budget s >= 1) are visited along diagonals
     d = j + s ascending, by j within a diagonal; the pair at ordinal
     d(d-1)/2 + j reports a DovetailEvent exactly when V first halts there,
-    i.e. when its halting cost equals s.
+    i.e. when its halting cost equals s.  Each universe replays a pair once.
     """
-    ctx = _context(len_limit)
-    ordinal = 0
-    diagonal = 1
-    while ordinal < stage:
-        for j in range(diagonal):
-            if ordinal >= stage:
-                break
-            s = diagonal - j
-            prog = index_to_string(j)
-            st = ctx.v_status(prog, s)
-            if st[0] == "h" and st[1] == s:
-                yield DovetailEvent(
-                    prog, ordinal, BudgetedOutcome("halted", st[2], s, s)
-                )
-            ordinal += 1
-        diagonal += 1
+    return _context(len_limit).events_below(_check_stage(stage))
 
 
 def dovetail_domain(stage: int, len_limit: int = DEFAULT_LEN_LIMIT) -> list[DovetailEvent]:

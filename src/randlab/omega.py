@@ -8,21 +8,23 @@ gap estimates, or digit claims are ever produced; the bound is exact dyadic
 arithmetic over an explicit finite set of witnesses, and it is relative to
 this machine, so estimates carry the registry fingerprint.
 
-psi_reconstruct inverts the process: given a string read as the dyadic value
-of a candidate lower-bound prefix, replay the dovetail enumeration until the
-accumulated mass first exceeds that value, and report the halted programs no
-longer than the prefix.  When the value really is a lower-bound prefix of
-the halting probability, every program of that length class must have
-appeared by the crossing point.
+Each universe keeps one dovetail replay, shared by every function here and
+extended only on demand: its events in ordinal order and their running Kraft
+masses, from which each stage's bound is read.  psi_reconstruct inverts it:
+given a string read as the dyadic value of a candidate lower-bound prefix,
+it finds the first event whose running mass exceeds that value, and reports
+the halted programs no longer than the prefix.  When the value really is a
+lower-bound prefix of the halting probability, every program of that length
+class must have appeared by the crossing point.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .bitstr import DYADIC_ZERO, Dyadic, _check_bits, value_of
-from .machine import DEFAULT_LEN_LIMIT, dovetail_events, registry_fingerprint
-from .prefixfree import kraft_sum
+from .bitstr import Dyadic, _check_bits, value_of
+from .machine import DEFAULT_LEN_LIMIT, _check_stage, _context, registry_fingerprint
 
 
 @dataclass(frozen=True)
@@ -35,35 +37,44 @@ class OmegaEstimate:
     fingerprint: str
 
 
+def _stage_replay(stage: int, len_limit: int) -> tuple[list, list[Dyadic]]:
+    """The universe's replay extended to ordinal `stage`: its events below
+    `stage`, and the running lower bound before and after each of them."""
+    ctx = _context(len_limit)
+    events = list(ctx.events_below(stage))
+    return events, [Dyadic(m, len_limit) for m in ctx.masses[: len(events) + 1]]
+
+
 def omega_lower_bound(stage: int, len_limit: int = DEFAULT_LEN_LIMIT) -> OmegaEstimate:
     """Exact Kraft mass of the programs seen halting within `stage` pairs."""
-    halted = frozenset(event.program for event in dovetail_events(stage, len_limit))
-    return OmegaEstimate(kraft_sum(halted), stage, halted, registry_fingerprint())
+    stage = _check_stage(stage)
+    events, bounds = _stage_replay(stage, len_limit)
+    halted = frozenset(event.program for event in events)
+    return OmegaEstimate(bounds[-1], stage, halted, registry_fingerprint())
 
 
 def halted_below(
     n: int, stage: int, len_limit: int = DEFAULT_LEN_LIMIT
 ) -> frozenset[str]:
     """The stage-observed part of {p : |p| <= n and V(p) halts}."""
-    return frozenset(
-        event.program
-        for event in dovetail_events(stage, len_limit)
-        if len(event.program) <= n
-    )
+    return frozenset(p for p in omega_lower_bound(stage, len_limit).halted if len(p) <= n)
 
 
 def psi_reconstruct(
     a: str, stage_limit: int, len_limit: int = DEFAULT_LEN_LIMIT
 ) -> frozenset[str] | None:
-    """Replay the dovetailer until the halted mass exceeds value_of(a); then
-    return the halted programs of length <= |a|.  None if stage_limit pairs
-    were not enough to cross."""
+    """Find the first dovetail event whose running mass exceeds value_of(a);
+    then return the halted programs of length <= |a| seen by then.  None if
+    stage_limit pairs were not enough to cross."""
     target = value_of(_check_bits(a))
-    halted: list[str] = []
-    mass = DYADIC_ZERO
-    for event in dovetail_events(stage_limit, len_limit):
-        halted.append(event.program)
-        mass = mass + Dyadic(1, len(event.program))
-        if mass > target:
-            return frozenset(p for p in halted if len(p) <= len(a))
-    return None
+    stage_limit = _check_stage(stage_limit)
+    ctx = _context(len_limit)
+    # a mass m / 2^len_limit exceeds the target exactly when m > floor
+    floor = (target.num << len_limit) >> target.scale
+    masses = ctx.masses
+    while masses[-1] <= floor and ctx.advance(stage_limit):
+        pass
+    k = bisect_right(masses, floor)  # events[k - 1] is the crossing event
+    if k == len(masses) or ctx.events[k - 1].stage >= stage_limit:
+        return None
+    return frozenset(e.program for e in ctx.events[:k] if len(e.program) <= len(a))

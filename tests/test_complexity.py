@@ -141,6 +141,21 @@ def test_target_validation() -> None:
         plain_c("012")
 
 
+def test_budgets_must_be_natural_numbers() -> None:
+    # prefix_k("0", 13, 1e5) used to die inside the pair machine with an
+    # AttributeError; and once a table exists at budget 100, 100.0 hashes to
+    # the same key, so the check must come before the table lookup.  A
+    # negative budget is refused by the runners that build the table
+    with pytest.raises(TypeError):
+        prefix_k("0", 13, 1e5)
+    assert prefix_k("0", 8, 100) is not None
+    for bound in (plain_c, prefix_k):
+        with pytest.raises(TypeError):
+            bound("0", 8, 100.0)
+        with pytest.raises(ValueError):
+            bound("0", 8, -1)
+
+
 def rescan_exhaustive(witness: str, prefix: bool, len_limit: int, budget: int) -> bool:
     # the oracle for `exhaustive`: every program shorter than the witness is
     # resolved (halted or certified diverging) at this budget

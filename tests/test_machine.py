@@ -542,6 +542,31 @@ def test_pair_statuses_match_the_round_loop(len_limit) -> None:
     assert halted > 0
 
 
+# ---------------------------------------------------------------------------
+# the guard's comparables against string_to_index
+# ---------------------------------------------------------------------------
+
+
+def string_indexed_comparables(b: str, len_limit: int):
+    """The guard's comparables as first written, kept as the oracle: every
+    prefix rank through string_to_index, which re-checks the bits."""
+    for k in range(len(b) + 1):
+        yield string_to_index(b[:k]), b[:k]
+    top = string_to_index(b) + 1
+    for length in range(len(b) + 1, len_limit + 1):
+        width = length - len(b)
+        start = (top << width) - 1
+        for off in range(1 << width):
+            yield start + off, b + format(off, f"0{width}b")
+
+
+@pytest.mark.parametrize("len_limit", [10, 12])
+def test_comparables_match_the_string_indexed_oracle(len_limit) -> None:
+    ctx = machine._Context(len_limit, ())
+    for b in all_strings(10):
+        assert list(ctx._comparables(b)) == list(string_indexed_comparables(b, len_limit)), b
+
+
 class CapSpyContext(machine._Context):
     """Records, for every pair evaluation, the caps at which it asks V."""
 
@@ -639,6 +664,31 @@ def test_run_rejects_bad_arguments() -> None:
         run(decode_machine(0), "21", 10)
     with pytest.raises(ValueError):
         run(decode_machine(0), "0", -1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda budget: run(decode_machine(0), "0", budget),
+        lambda budget: universal_run("0", budget),
+        lambda budget: prefix_universal_run("0", budget),
+        lambda budget: universal_status("0", budget),
+        lambda budget: prefix_universal_status("0", budget),
+    ],
+)
+def test_budgets_must_be_natural_numbers(call) -> None:
+    # 2.5 used to come back as BudgetedOutcome(..., budget=2.5)
+    for budget in (2.5, 10.0, "10"):
+        with pytest.raises(TypeError):
+            call(budget)
+    with pytest.raises(ValueError):
+        call(-1)
+    assert call(True) == call(1)  # a bool is an int
+
+
+def test_checked_budget_is_the_recorded_budget() -> None:
+    out = universal_run("0", True)
+    assert type(out.budget) is int and out.budget == 1
 
 
 def test_status_classifiers() -> None:
