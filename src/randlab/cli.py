@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import sys
+from collections.abc import Iterable
 
 from .bitstr import _check_bits, all_strings, index_to_string, render_dyadic
 from .complexity import (
@@ -84,17 +85,16 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _report_text(fmt: str, config: dict, columns: list[str], rows: list[dict]) -> str:
+def _report_text(fmt: str, config: dict, columns: list[str], rows: Iterable[dict]) -> str:
     if fmt == "json":
-        payload = {"config": config, "results": rows}
+        payload = {"config": config, "results": list(rows)}
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     buf = io.StringIO()
     for key, value in sorted(config.items()):
         buf.write(f"# {key}={value}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(row[c]) for c in columns])
+    writer.writerows([_cell(row[c]) for c in columns] for row in rows)
     return buf.getvalue()
 
 
@@ -106,7 +106,7 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _emit(args, columns: list[str], rows: list[dict]) -> None:
+def _emit(args, columns: list[str], rows: Iterable[dict]) -> None:
     config = {
         "budget": args.budget,
         "len_limit": args.len_limit,
@@ -143,7 +143,7 @@ def _gather_strings(args) -> list[str]:
 
 
 def _cmd_enum(args) -> int:
-    rows = [{"index": m, "string": spell(index_to_string(m))} for m in range(args.count)]
+    rows = ({"index": m, "string": spell(index_to_string(m))} for m in range(args.count))
     _emit(args, ["index", "string"], rows)
     return 0
 
@@ -297,11 +297,11 @@ def _cmd_mltest_validate(args) -> int:
 
 def _cmd_mltest_convert(args) -> int:
     conv = sense1_to_sense2(registered_tests()[args.test], args.depth)
-    rows = [
+    rows = (
         {"n": n, "member": spell(b)}
         for n in range(1, args.levels + 1)
         for b in _canonical(conv.enumerate(n, args.depth))
-    ]
+    )
     _emit(args, ["n", "member"], rows)
     return 0
 

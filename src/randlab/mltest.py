@@ -13,6 +13,8 @@ pass is only issued when the horizon was reached, and everything else stays
 indeterminate.  Each sense-1 test keeps a rank-indexed level table, built on
 first use: entry r is the level of the r-th string in length-lex order, so
 one table serves every depth and every materializer evaluates a string once.
+Each length's defined ranks are also kept in level order, so an event costs
+one bisection per length plus the strings it returns.
 
 The bridges to program-length complexity run in both directions: the
 compression test materializes the strings whose budgeted prefix complexity
@@ -23,7 +25,10 @@ table machine, making the resulting complexity drop executable.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice
 from typing import Callable
 
@@ -52,6 +57,8 @@ class Sense1Test:
     horizon: Callable[[int], int | None]
     # _levels[r] == evaluate(index_to_string(r)); filled on first use by _event
     _levels: list[int | None] = field(default_factory=list, init=False, repr=False, compare=False)
+    # _by_level[n]: the defined ranks of length n, ordered by (level, rank)
+    _by_level: list[array] = field(default_factory=list, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -115,7 +122,10 @@ def _zeros_after_111(b: str) -> int | None:
 
 
 def _count_101(b: str) -> int | None:
-    return sum(1 for i in range(len(b) - 2) if b[i : i + 3] == "101")
+    count, i = 0, b.find("101")
+    while i >= 0:
+        count, i = count + 1, b.find("101", i + 1)
+    return count
 
 
 _BUILTIN = (
@@ -147,11 +157,17 @@ def registered_tests() -> dict[str, Sense1Test]:
 def _event(t: Sense1Test, least: int, d: int) -> list[str]:
     """The strings of length <= d whose level is at least `least`, in
     length-lex order.  They are the ranks below 2^(d+1) - 1, so one table
-    serves every depth; a deeper request extends it in place."""
-    levels, size = t._levels, (1 << max(d + 1, 0)) - 1
-    if len(levels) < size:
+    serves every depth; a deeper request extends it in place.  A call
+    bisects each length's level order and spells only what it returns."""
+    levels, blocks, key = t._levels, t._by_level, t._levels.__getitem__
+    d = max(d, -1)  # every negative depth holds no strings
+    if len(blocks) <= d:
         levels.extend(map(t.evaluate, islice(all_strings(d), len(levels), None)))
-    return [index_to_string(r) for r in range(size) if (v := levels[r]) is not None and v >= least]
+        for n in range(len(blocks), d + 1):
+            defined = [r for r in range((1 << n) - 1, (2 << n) - 1) if levels[r] is not None]
+            blocks.append(array("q", sorted(defined, key=key)))
+    found = (sorted(ranks[bisect_left(ranks, least, key=key) :]) for ranks in blocks[: d + 1])
+    return [index_to_string(r) for ranks in found for r in ranks]
 
 
 def validate_sense1(
@@ -194,15 +210,19 @@ def level_sense1(t: Sense1Test, prefix: str) -> int:
 
 def sense1_to_sense2(t: Sense1Test, depth: int = DEFAULT_DEPTH) -> Sense2Test:
     """Level n > 0 covers the strict event {evaluate > n}; level 0 is the
-    full space.  Materializations are capped at the construction depth."""
+    full space, one set shared by every conversion at the latest depth asked.
+    Materializations are capped at the construction depth."""
 
     def materialize(n: int, d: int) -> frozenset[str]:
         d = min(d, depth)
-        if n == 0:
-            return frozenset(all_strings(d))
-        return frozenset(_event(t, n + 1, d))
+        return _full_space(d) if n == 0 else frozenset(_event(t, n + 1, d))
 
     return Sense2Test(f"{t.name}.sense2", materialize)
+
+
+@lru_cache(maxsize=1)  # level 0 of every conversion, kept for the latest depth only
+def _full_space(d: int) -> frozenset[str]:
+    return frozenset(all_strings(d))
 
 
 def sense2_to_sense1(f: Sense2Test) -> Sense1Test:

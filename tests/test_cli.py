@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -380,6 +381,19 @@ def test_negative_or_malformed_counts_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert f"argument {argv[-2]}:" in err
+
+
+def test_csv_rows_are_streamed_into_the_report(tmp_path):
+    # one dict per row held at once would peak at about 24 MiB here
+    out = tmp_path / "enum.csv"
+    tracemalloc.start()
+    try:
+        assert main(["enum", "--count", "65536", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert out.read_text().splitlines()[-1] == "65535," + "0" * 16
 
 
 def test_zero_counts_are_accepted(capsys):

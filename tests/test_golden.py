@@ -44,6 +44,10 @@ GOLDEN = [
      "c44a085a58dcb7972580fb91621b8c8f6c7b54796469c2e656e1e7b441fb65e3"),
     (["mltest", "bridge", "--test", "leading-zeros", "--n-max", "2", "--depth", "8"], 0,
      "0563b1aaa63232697c3f605eb53819e45bfa2e5c21be1387389518d9e5eec64c"),
+    (["enum", "--count", "65536"], 0,
+     "8887e055e0c663ba71f474a5b1931a5525d4ea468eca65710ec321ac5c20c6cd"),
+    (["mltest", "convert", "--test", "even-ones", "--levels", "4"], 0,
+     "31f886605f5dcc9dfc14d04e7fcd5e076be93243c15a4b7ed7949c8baab7dbf5"),
     (["enum", "--count", "64", "--format", "json"], 0,
      "7f5bf45d6565ec1e6d40b55e595883d0e37e3258839ce384df196cb5c8c3aaa2"),
     (["complexity", "pad", "--k", "2"], 0,

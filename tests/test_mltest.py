@@ -8,6 +8,7 @@ confirm the advertised program lengths and costs.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import random
 import subprocess
@@ -16,13 +17,17 @@ import textwrap
 from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from itertools import islice
 from operator import or_
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import randlab
-from randlab.bitstr import DYADIC_ONE, DYADIC_ZERO, Dyadic, all_strings
+from randlab import mltest
+from randlab.bitstr import DYADIC_ONE, DYADIC_ZERO, Dyadic, all_strings, index_to_string
 from randlab.complexity import prefix_k
 from randlab.machine import (
     clear_code_table,
@@ -50,7 +55,7 @@ from randlab.mltest import (
     universal_test,
     validate_sense1,
 )
-from randlab.mltest import _mask, _segment
+from randlab.mltest import _count_101, _event, _mask, _segment
 from randlab.prefixfree import cover_measure, is_prefix_free, kraft_code, prefix_freeize
 
 BIG = 100_000
@@ -122,6 +127,15 @@ def test_builtin_levels(name, subject, expected):
 def test_count101_levels(subject, expected):
     # occurrences may overlap: "10101" holds two
     assert registered_tests()["count101"].evaluate(subject) == expected
+
+
+def sliced_count_101(b):
+    """Oracle: _count_101 as it was, slicing every 3-character window."""
+    return sum(1 for i in range(len(b) - 2) if b[i : i + 3] == "101")
+
+
+def test_count_101_matches_the_slicing_count():
+    assert all(_count_101(b) == sliced_count_101(b) for b in all_strings(16))
 
 
 def test_registry_of_tests():
@@ -442,6 +456,120 @@ def test_importing_randlab_evaluates_nothing():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout == "[] [0, 0, 0, 0]\n"
+
+
+def diagonal_oracle(t):
+    """Oracle: the round trip sense2_to_sense1(sense1_to_sense2(t)) in closed
+    form.  b lies in the level-(|b|+1) cover at depth |b| exactly when its
+    level exceeds |b| + 1."""
+    return Sense1Test(
+        f"{t.name}.sense2.sense1",
+        lambda b: len(b) if (v := t.evaluate(b)) is not None and v > len(b) + 1 else None,
+        lambda m: None,
+    )
+
+
+@pytest.mark.parametrize("name", sorted(registered_tests()))
+def test_round_trip_at_depth_12_matches_the_closed_form(name):
+    t = registered_tests()[name]
+    back = sense2_to_sense1(sense1_to_sense2(t, 12))
+    assert validate_sense1(back, 3, 12) == slow_validate_sense1(diagonal_oracle(t), 3, 12)
+
+
+def full_scan_event(t, least, d, levels):
+    """Oracle: _event as it was, scanning every rank below 2^(d+1) - 1 of
+    its own rank-indexed table on every call."""
+    size = (1 << max(d + 1, 0)) - 1
+    if len(levels) < size:
+        levels.extend(map(t.evaluate, islice(all_strings(d), len(levels), None)))
+    return [index_to_string(r) for r in range(size) if (v := levels[r]) is not None and v >= least]
+
+
+EVENT_FIXTURES = {
+    **registered_tests(),
+    # negative levels and undefined strings: -1 must not read as undefined
+    "neg": Sense1Test("neg", lambda b: -len(b) if b.endswith("1") else None, lambda m: m),
+}
+EVENT_GRID = [(least, d) for d in range(-1, 17) for least in range(-20, 21)]
+
+
+@pytest.fixture(scope="module")
+def event_oracle():
+    """For each fixture, (least, d) -> a digest of the full-scan event."""
+    oracle = {}
+    for name, t in EVENT_FIXTURES.items():
+        levels: list = []
+        for least, d in EVENT_GRID:
+            oracle[name, least, d] = digest(full_scan_event(t, least, d, levels))
+    return oracle
+
+
+def digest(strings):
+    return len(strings), hashlib.sha256("\n".join(strings).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("order", ["rising", "falling"])
+@pytest.mark.parametrize("name", sorted(EVENT_FIXTURES))
+def test_event_matches_the_full_scan(name, order, event_oracle):
+    t = fresh(EVENT_FIXTURES[name])
+    grid = EVENT_GRID if order == "rising" else EVENT_GRID[::-1]
+    assert {(least, d): digest(_event(t, least, d)) for least, d in grid} == {
+        (least, d): event_oracle[name, least, d] for least, d in grid
+    }
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(asks=st.lists(st.sampled_from(EVENT_GRID), min_size=1, max_size=12), data=st.data())
+def test_event_matches_the_full_scan_in_any_order(asks, data, event_oracle):
+    name = data.draw(st.sampled_from(sorted(EVENT_FIXTURES)))
+    t = fresh(EVENT_FIXTURES[name])
+    for least, d in asks:
+        assert digest(_event(t, least, d)) == event_oracle[name, least, d], (least, d)
+
+
+def test_negative_levels_are_defined_levels():
+    t = fresh(EVENT_FIXTURES["neg"])
+    assert sense1_to_sense2(t, 4).enumerate(-3, 4) == {"1", "01", "11"}
+
+
+class CountingList(list):
+    def __init__(self):
+        super().__init__()
+        self.reads = 0
+
+    def __getitem__(self, r):
+        self.reads += 1
+        return super().__getitem__(r)
+
+
+def test_a_warm_event_spells_only_what_it_returns(monkeypatch):
+    spelled = Counter()
+
+    def counting(r):
+        spelled["calls"] += 1
+        return index_to_string(r)
+
+    t = fresh(registered_tests()["leading-zeros"])
+    object.__setattr__(t, "_levels", CountingList())
+    _event(t, 0, 16)
+    monkeypatch.setattr(mltest, "index_to_string", counting)
+    for least, d in [(17, 16), (16, 16), (9, 16), (3, 5), (0, 2), (-1, -1), (20, 0)]:
+        spelled.clear()
+        t._levels.reads = 0
+        event = _event(t, least, d)
+        assert spelled["calls"] == len(event)
+        # one bisection per length, never a scan of the table
+        assert t._levels.reads <= max(d + 1, 0) * 17, (least, d)
+
+
+def test_level_zero_is_one_shared_set_per_depth():
+    t = registered_tests()["even-ones"]
+    first = sense1_to_sense2(t, 14).enumerate(0, 14)
+    assert first == frozenset(all_strings(14))
+    assert sense1_to_sense2(fresh(t), 14).enumerate(0, 14) is first
+    assert sense1_to_sense2(t, 13).enumerate(0, 14) == frozenset(all_strings(13))
+    again = sense1_to_sense2(t, 14).enumerate(0, 14)
+    assert again == first and again is not first
 
 
 def test_registered_tests_are_the_same_objects_on_every_call():
