@@ -185,12 +185,15 @@ def _tm_status(table, inp: str, cap: int):
 # ---------------------------------------------------------------------------
 # A status is ("h", cost, output) with cost <= the queried cap, ("d",) for a
 # proven permanent divergence, or ("u", cap) when neither is settled yet.
-# Statuses refine monotonically in cap and are memoized per context; every
-# recursive probe runs at a strictly smaller cap (dispatch; a pair half once
-# at the last round that fits, whose winning round is read off the costs,
-# and at cap - 1 when no split wins) or on structurally smaller input (pad),
-# so evaluation terminates.  A proven divergence carries no cap: a memoized
-# ("d",) is the answer at every cap, so a warm context may say ("d",) where
+# Statuses refine monotonically in cap.  Two memos per context hold them:
+# _machine for a machine on an input, _v for V on a program.  U on 1^n 0 a
+# is machine n on a plus n + 1 steps, read off _machine or O(|a|) afresh, and
+# the guard on b is V on 1^n 0 b less those steps, so neither needs a memo.
+# Every recursive probe runs at a strictly smaller cap (dispatch; a pair half
+# once at the last round that fits, whose winning round is read off the
+# costs, and at cap - 1 when no split wins) or on structurally smaller input
+# (pad), so evaluation terminates.  A proven divergence carries no cap: a
+# memoized ("d",) answers every cap, so a warm context may say ("d",) where
 # a fresh one at a smaller cap still says ("u", cap).  Both are true.
 
 
@@ -219,14 +222,15 @@ def _settle(memo: dict, key, status, cap: int):
 
 
 class _Context:
-    """Memoized statuses for one (len_limit, installed code table) pair; its
-    first-witness tables: (prefix, budget) -> (output -> first program, first
-    program left unresolved at the budget or None); and its dovetail replay:
-    events in ordinal order, masses[k] = the first k events' Kraft mass times
-    2^len_limit, and the pair (ordinal, diagonal, j) where the replay stopped."""
+    """The status memos _machine and _v for one (len_limit, installed code
+    table) pair; its first-witness tables: (prefix, budget) -> (output -> first
+    program, first program left unresolved at the budget or None); and its
+    dovetail replay: events in ordinal order, masses[k] = the first k events'
+    Kraft mass times 2^len_limit, and the pair (ordinal, diagonal, j) where the
+    replay stopped."""
 
     __slots__ = ("len_limit", "code_table", "tables", "events", "masses", "replay_at",
-                 "_programs", "_machine", "_guard", "_u", "_v")
+                 "_programs", "_machine", "_v")
 
     def __init__(self, len_limit: int, code_table: tuple[tuple[str, str], ...]):
         self.len_limit = len_limit
@@ -237,8 +241,6 @@ class _Context:
         self.replay_at = (0, 1, 0)
         self._programs = [""]  # index_to_string(j) for every rank j replayed
         self._machine: dict = {}
-        self._guard: dict = {}
-        self._u: dict = {}
         self._v: dict = {}
 
     # -- machine dispatch ---------------------------------------------------
@@ -346,22 +348,13 @@ class _Context:
     def guard_status(self, machine: MachineBehavior, b: str, cap: int):
         if machine.kind == "decoded-table" and machine.table is None:
             return ("d",)
-        key = (machine, b)
-        hit = _cached(self._guard, key, cap)
-        if hit is not None:
-            return hit
-        finite = None
         if machine.kind == "mapping":
-            finite = dict(machine.mapping)
-        elif machine.kind == "registry-native" and machine.registry_id == REG_CODE_TABLE:
-            finite = self.code_table
-        if finite is not None:
-            status = self._guard_finite(finite, b)
-        else:
-            status = self._guard_walk(machine, b, cap)
-        return _settle(self._guard, key, status, cap)
+            return self._guard_finite(dict(machine.mapping), b, cap)
+        if machine.kind == "registry-native" and machine.registry_id == REG_CODE_TABLE:
+            return self._guard_finite(self.code_table, b, cap)
+        return self._guard_walk(machine, b, cap)
 
-    def _guard_finite(self, table: dict[str, str], b: str):
+    def _guard_finite(self, table: dict[str, str], b: str, cap: int):
         # the domain is known outright, so the dovetail winner is exact
         best = None
         for c, out in table.items():
@@ -373,7 +366,7 @@ class _Context:
                 best = cand
         if best is None or best[2] != b:
             return ("d",)
-        return ("h", best[0], best[3])
+        return ("h", best[0], best[3]) if best[0] <= cap else ("u", cap)
 
     def _guard_walk(self, machine: MachineBehavior, b: str, cap: int):
         best = None  # (d, j, comparable, output)
@@ -414,10 +407,7 @@ class _Context:
         return status if status[0] == "d" else ("u", cap)
 
     def u_status(self, inp: str, cap: int):
-        hit = _cached(self._u, inp, cap)
-        if hit is not None:
-            return hit
-        return _settle(self._u, inp, self._dispatch(self.m_status, inp, cap), cap)
+        return self._dispatch(self.m_status, inp, cap)
 
     def v_status(self, prog: str, cap: int):
         hit = _cached(self._v, prog, cap)

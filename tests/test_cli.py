@@ -14,7 +14,7 @@ import pytest
 
 import randlab
 from randlab.bitstr import Dyadic, parse_dyadic
-from randlab.cli import main, unspell
+from randlab.cli import _report_text, main, unspell
 from randlab.machine import current_code_table
 from randlab.prefixfree import cover_measure, kraft_sum
 
@@ -394,6 +394,49 @@ def test_csv_rows_are_streamed_into_the_report(tmp_path):
         tracemalloc.stop()
     assert peak < 10 * 2**20
     assert out.read_text().splitlines()[-1] == "65535," + "0" * 16
+
+
+JSON_REPORTS = [
+    ["enum", "--count", "0"],
+    ["enum", "--count", "5"],
+    ["measure", "0", "10", "111"],
+    ["complexity", "census", "--max-n", "3"],
+    ["complexity", "pad", "--k", "2"],
+    ["omega", "--stage", "0", "--budget", "0"],
+    ["omega", "--stage", "64"],
+    ["mltest", "convert", "--test", "even-ones", "--levels", "2", "--depth", "3"],
+    ["mltest", "score", "--subject", "0" * 8],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_REPORTS, ids=" ".join)
+def test_json_reports_are_one_dumped_payload(capsys, argv):
+    # the rows are spelled a batch at a time, but the text is what dumping
+    # the whole payload at once wrote
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n", code
+
+
+def test_json_rows_spell_as_one_dumped_payload():
+    config = {"budget": 3, "stage": None}
+    odd = [{}, {"b": [1, [], {}], "a": "x\ny\u00e9"}, {"z": {"k": [2, {"m": None}]}}]
+    for n in (0, 1, 3, 1023, 1024, 2049):  # batches of 1024 rows
+        rows = [{"i": i, "on": i % 2 == 0} | odd[i % 3] for i in range(n)] + odd[: n % 4]
+        expected = json.dumps({"config": config, "results": rows}, indent=2, sort_keys=True)
+        assert _report_text("json", config, [], iter(rows)) == expected + "\n"
+
+
+def test_json_rows_are_streamed_into_the_report(tmp_path):
+    # one list holding every row dict peaked at about 54 MiB here
+    out = tmp_path / "enum.json"
+    tracemalloc.start()
+    try:
+        assert main(["enum", "--count", "65536", "--format", "json", "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
+    assert json.loads(out.read_text())["results"][-1] == {"index": 65535, "string": "0" * 16}
 
 
 def test_zero_counts_are_accepted(capsys):

@@ -8,6 +8,9 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
+from contextlib import contextmanager
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 
 from randlab import machine
 from randlab.bitstr import all_strings, index_to_string, string_to_index
+from randlab.complexity import plain_c, prefix_k
 from randlab.machine import (
     DEFAULT_LEN_LIMIT,
     DIVERGING,
@@ -540,6 +544,151 @@ def test_pair_statuses_match_the_round_loop(len_limit) -> None:
             new, old = (ctx._pair_status(s, cap) for ctx in engines())
             assert new == old, ("fresh", s, cap)
     assert halted > 0
+
+
+# ---------------------------------------------------------------------------
+# two status memos against the four the engine first kept
+# ---------------------------------------------------------------------------
+
+
+class FourMemoContext(machine._Context):
+    """The status engine as first written, kept as the oracle: besides
+    _machine and _v, U kept a memo per input and the guard one per
+    (machine, input), each through the same memo rule."""
+
+    def __init__(self, len_limit: int, code_table):
+        super().__init__(len_limit, code_table)
+        self._guard: dict = {}
+        self._u: dict = {}
+
+    def guard_status(self, behavior, b: str, cap: int):
+        if behavior.kind == "decoded-table" and behavior.table is None:
+            return ("d",)
+        key = (behavior, b)
+        hit = machine._cached(self._guard, key, cap)
+        if hit is not None:
+            return hit
+        finite = None
+        if behavior.kind == "mapping":
+            finite = dict(behavior.mapping)
+        elif behavior.kind == "registry-native" and behavior.registry_id == machine.REG_CODE_TABLE:
+            finite = self.code_table
+        if finite is not None:
+            status = self._unclipped_guard_finite(finite, b)
+        else:
+            status = self._guard_walk(behavior, b, cap)
+        return machine._settle(self._guard, key, status, cap)
+
+    def _unclipped_guard_finite(self, table, b: str):
+        best = None
+        for c, out in table.items():
+            if not (b.startswith(c) or (c.startswith(b) and len(c) <= self.len_limit)):
+                continue
+            j = string_to_index(c)
+            cand = (j + len(c) + len(out) + 1, j, c, out)
+            if best is None or cand < best:
+                best = cand
+        if best is None or best[2] != b:
+            return ("d",)
+        return ("h", best[0], best[3])
+
+    def u_status(self, inp: str, cap: int):
+        hit = machine._cached(self._u, inp, cap)
+        if hit is not None:
+            return hit
+        return machine._settle(self._u, inp, self._dispatch(self.m_status, inp, cap), cap)
+
+
+# index 4 dispatches on "11110", so V programs up to length 10 reach it
+CODE_TABLE = (("0", "1"), ("10", ""), ("110", "0101"), ("111", "1"))
+
+
+@pytest.mark.parametrize("len_limit", [10, 13])
+@pytest.mark.parametrize("code_table", [(), CODE_TABLE], ids=["no-table", "table"])
+def test_statuses_match_the_four_memo_engine(len_limit, code_table) -> None:
+    # every program up to length 10 on the pair test's cap ladder, asked of
+    # U and V alike, rising and falling in a context of its own, and in a
+    # fresh context per query (the first rising and the first falling
+    # queries, at 0 and BIG, are fresh already)
+    def engines():
+        return machine._Context(len_limit, code_table), FourMemoContext(len_limit, code_table)
+
+    def ask(pair, prog, cap):
+        new, old = ((ctx.u_status(prog, cap), ctx.v_status(prog, cap)) for ctx in pair)
+        assert new == old, (prog, cap)
+        return new
+
+    settled = set()
+    for prog in all_strings(10):
+        caps = pair_caps(prog)
+        rising, falling = engines(), engines()
+        for cap in caps:
+            settled.update(status[0] for status in ask(rising, prog, cap))
+        for cap in reversed(caps):
+            ask(falling, prog, cap)
+        for cap in caps[1:-1]:
+            ask(engines(), prog, cap)
+    assert settled == {"h", "d", "u"}
+
+
+@contextmanager
+def fresh_universes():
+    """Run the body against empty contexts, so its memos start cold."""
+    saved = machine._CONTEXTS
+    machine._CONTEXTS = {}
+    try:
+        yield
+    finally:
+        machine._CONTEXTS = saved
+
+
+def shifted(outcome, n: int):
+    # the outcome U or V reports for 1^n 0 x, given machine n's on x
+    return (outcome.status, outcome.output, outcome.steps_used + n + 1, outcome.budget + n + 1)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_memoless_guard_and_u_match_v_and_u_runs(warm) -> None:
+    # the guard and U keep no memo of their own: a guarded machine n on b is
+    # V on 1^n 0 b, and machine n on a is U on 1^n 0 a, less n + 1 steps;
+    # each cap is asked twice, before V and U are asked at all or after
+    # their memos hold the status at BIG
+    install_code_table(dict(CODE_TABLE))
+    for n in range(5):
+        behavior = decode_machine(n)
+        for b in all_strings(6):
+            prog = "1" * n + "0" + b
+            caps = [cap for cap in pair_caps(b) for _ in range(2)]
+            with fresh_universes():
+                if warm:
+                    prefix_universal_run(prog, BIG, 10)
+                    universal_run(prog, BIG, 10)
+                guarded = [shifted(run(prefix_guard(behavior), b, cap, 10), n) for cap in caps]
+                plain = [shifted(run(behavior, b, cap, 10), n) for cap in caps]
+                assert guarded == [
+                    astuple(prefix_universal_run(prog, cap + n + 1, 10)) for cap in caps
+                ], prog
+                assert plain == [astuple(universal_run(prog, cap + n + 1, 10)) for cap in caps], prog
+
+
+def test_cold_witness_tables_fit_two_memos() -> None:
+    # a U memo and a guard memo beside _machine and _v peaked at 7.2 MiB here
+    with fresh_universes():
+        tracemalloc.start()
+        try:
+            plain_c("", 12, BIG)
+            prefix_k("", 13, BIG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 5.5 * 2**20
+
+
+def test_engine_keeps_two_status_memos() -> None:
+    ctx = machine._Context(8, ())
+    assert [slot for slot in ctx.__slots__ if isinstance(getattr(ctx, slot), dict)] == [
+        "code_table", "tables", "_machine", "_v"
+    ]
 
 
 # ---------------------------------------------------------------------------
