@@ -191,10 +191,12 @@ def _tm_status(table, inp: str, cap: int):
 # the guard on b is V on 1^n 0 b less those steps, so neither needs a memo.
 # Every recursive probe runs at a strictly smaller cap (dispatch; a pair half
 # once at the last round that fits, whose winning round is read off the
-# costs, and at cap - 1 when no split wins) or on structurally smaller input
-# (pad), so evaluation terminates.  A proven divergence carries no cap: a
-# memoized ("d",) answers every cap, so a warm context may say ("d",) where
-# a fresh one at a smaller cap still says ("u", cap).  Both are true.
+# costs, and, when no split wins, at cap - 1 for only the splits that round
+# left open) or on structurally smaller input (pad), so evaluation
+# terminates.  A proven divergence carries no cap: a memoized ("d",) answers
+# every cap, so a split with a "d" half is dead for good, and a warm context
+# may say ("d",) where a fresh one at a smaller cap still says ("u", cap).
+# Both are true.
 
 
 def _cached(memo: dict, key, cap: int):
@@ -312,19 +314,22 @@ class _Context:
         room = (cap - base) // 2  # rounds t <= room fit under the cap
         top = 1 << (room.bit_length() - 1) if room > 0 else 0
         wins = []
+        open_splits = [] if top else range(len(s) + 1)  # no half proven "d"
         for i in range(len(s) + 1 if top else 0):
             left = self.v_status(s[:i], top)
             right = self.v_status(s[i:], top) if left[0] == "h" else left
             if right[0] == "h":
                 t = 1 << (max(left[1], right[1], 1) - 1).bit_length()
                 wins.append((t, i, left[2] + right[2]))
+            elif right[0] == "u":
+                open_splits.append(i)
         if wins:
             t, i, out = min(wins)
             status = ("h", 2 * t + i + base, out)
         elif cap >= 2 and all(
             self.v_status(s[:i], cap - 1)[0] == "d"
             or self.v_status(s[i:], cap - 1)[0] == "d"
-            for i in range(len(s) + 1)
+            for i in open_splits
         ):
             status = ("d",)
         else:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from randlab import machine
 from randlab.bitstr import all_strings, index_to_string, string_to_index
-from randlab.complexity import plain_c, prefix_k
+from randlab.complexity import _witness_table, plain_c, prefix_k
 from randlab.machine import (
     DEFAULT_LEN_LIMIT,
     DIVERGING,
@@ -603,15 +603,13 @@ class FourMemoContext(machine._Context):
 CODE_TABLE = (("0", "1"), ("10", ""), ("110", "0101"), ("111", "1"))
 
 
-@pytest.mark.parametrize("len_limit", [10, 13])
-@pytest.mark.parametrize("code_table", [(), CODE_TABLE], ids=["no-table", "table"])
-def test_statuses_match_the_four_memo_engine(len_limit, code_table) -> None:
+def assert_same_statuses(oracle, len_limit: int, code_table) -> None:
     # every program up to length 10 on the pair test's cap ladder, asked of
     # U and V alike, rising and falling in a context of its own, and in a
     # fresh context per query (the first rising and the first falling
     # queries, at 0 and BIG, are fresh already)
     def engines():
-        return machine._Context(len_limit, code_table), FourMemoContext(len_limit, code_table)
+        return machine._Context(len_limit, code_table), oracle(len_limit, code_table)
 
     def ask(pair, prog, cap):
         new, old = ((ctx.u_status(prog, cap), ctx.v_status(prog, cap)) for ctx in pair)
@@ -629,6 +627,12 @@ def test_statuses_match_the_four_memo_engine(len_limit, code_table) -> None:
         for cap in caps[1:-1]:
             ask(engines(), prog, cap)
     assert settled == {"h", "d", "u"}
+
+
+@pytest.mark.parametrize("len_limit", [10, 13])
+@pytest.mark.parametrize("code_table", [(), CODE_TABLE], ids=["no-table", "table"])
+def test_statuses_match_the_four_memo_engine(len_limit, code_table) -> None:
+    assert_same_statuses(FourMemoContext, len_limit, code_table)
 
 
 @contextmanager
@@ -692,6 +696,86 @@ def test_engine_keeps_two_status_memos() -> None:
 
 
 # ---------------------------------------------------------------------------
+# the pruned pair machine against the engine that asked every split twice
+# ---------------------------------------------------------------------------
+
+
+class TwoPassContext(machine._Context):
+    """The pair machine before it skipped the splits proven dead, kept as
+    the oracle: its divergence pass at cap - 1 asks every split again."""
+
+    def _pair_status(self, s: str, cap: int):
+        key = ("pair", s)
+        hit = machine._cached(self._machine, key, cap)
+        if hit is not None:
+            return hit
+        # a halting cost is cap-free, so ask each half once, at the last round
+        base = len(s) + 1
+        room = (cap - base) // 2  # rounds t <= room fit under the cap
+        top = 1 << (room.bit_length() - 1) if room > 0 else 0
+        wins = []
+        for i in range(len(s) + 1 if top else 0):
+            left = self.v_status(s[:i], top)
+            right = self.v_status(s[i:], top) if left[0] == "h" else left
+            if right[0] == "h":
+                t = 1 << (max(left[1], right[1], 1) - 1).bit_length()
+                wins.append((t, i, left[2] + right[2]))
+        if wins:
+            t, i, out = min(wins)
+            status = ("h", 2 * t + i + base, out)
+        elif cap >= 2 and all(
+            self.v_status(s[:i], cap - 1)[0] == "d"
+            or self.v_status(s[i:], cap - 1)[0] == "d"
+            for i in range(len(s) + 1)
+        ):
+            status = ("d",)
+        else:
+            status = ("u", cap)
+        return machine._settle(self._machine, key, status, cap)
+
+
+@pytest.mark.parametrize("len_limit", [10, 13])
+@pytest.mark.parametrize("code_table", [(), CODE_TABLE], ids=["no-table", "table"])
+def test_statuses_match_the_two_pass_engine(len_limit, code_table) -> None:
+    assert_same_statuses(TwoPassContext, len_limit, code_table)
+
+
+@pytest.mark.parametrize("prefix,len_limit", [(False, 12), (True, 13)], ids=["plain", "prefix"])
+def test_cold_witness_tables_match_the_two_pass_engine(prefix, len_limit, monkeypatch) -> None:
+    engine = machine._Context
+
+    def cold_table(context):
+        monkeypatch.setattr(machine, "_Context", context)
+        with fresh_universes():
+            return _witness_table(prefix, len_limit, BIG)
+
+    table, frontier = cold_table(engine)
+    assert (table, frontier) == cold_table(TwoPassContext)
+    assert (len(table), frontier) == ((39, "11011011011") if prefix else (4735, None))
+
+
+class CountingContext(machine._Context):
+    """Counts the V queries made through it, recursive ones included."""
+
+    def __init__(self, len_limit: int, code_table):
+        super().__init__(len_limit, code_table)
+        self.v_calls = 0
+
+    def v_status(self, prog: str, cap: int):
+        self.v_calls += 1
+        return super().v_status(prog, cap)
+
+
+def test_cold_prefix_table_skips_the_splits_proven_dead(monkeypatch) -> None:
+    # 174,290 V queries when the divergence pass asked every split again
+    monkeypatch.setattr(machine, "_Context", CountingContext)
+    with fresh_universes():
+        prefix_k("", 13, BIG)
+        (ctx,) = machine._CONTEXTS.values()
+    assert 0 < ctx.v_calls <= 110_000
+
+
+# ---------------------------------------------------------------------------
 # the guard's comparables against string_to_index
 # ---------------------------------------------------------------------------
 
@@ -739,8 +823,9 @@ class CapSpyContext(machine._Context):
 
 def test_pair_asks_its_halves_at_two_caps_at_most() -> None:
     # one cap for the winner search (the last round that fits) and, when no
-    # split wins, cap - 1 for the divergence check; the round loop asked at
-    # every round 1, 2, 4, ... up to the last
+    # split wins, cap - 1 for the divergence check of the splits with no
+    # half proven "d"; the round loop asked at every round 1, 2, 4, ... up
+    # to the last
     ctx = CapSpyContext(10)
     for s in all_strings(7):
         for cap in (50, 1000, BIG):
@@ -748,8 +833,8 @@ def test_pair_asks_its_halves_at_two_caps_at_most() -> None:
     assert len(ctx.asked) > 255
     assert max(map(len, ctx.asked)) == 2
     ctx = CapSpyContext(10)
-    ctx._pair_status("11111", 1000)  # no split has a halting half
-    assert ctx.asked == [{256, 999}]
+    ctx._pair_status("11111", 1000)  # every left half is "d" at 256 already
+    assert ctx.asked == [{256}]
 
 
 # ---------------------------------------------------------------------------
