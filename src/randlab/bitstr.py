@@ -175,10 +175,20 @@ def string_to_index(b: str) -> int:
     return int("1" + b, 2) - 1
 
 
+_LOWS = [tuple(bin(m)[3:] for m in range(1 << w, 2 << w)) for w in range(9)]
+
+
+def _spell(width: int, head: str = "") -> Iterator[str]:
+    """head + each width-bit string in order, a high part joined to <= 8 low bits."""
+    low = min(width, len(_LOWS) - 1)
+    for high in range(1 << (width - low), 2 << (width - low)):
+        yield from map((head + bin(high)[3:]).__add__, _LOWS[low])
+
+
 def all_strings(max_len: int) -> Iterator[str]:
     """All binary strings of length <= max_len, in length-lexicographic order."""
-    for m in range((1 << max(max_len + 1, 0)) - 1):
-        yield index_to_string(m)
+    for n in range(max_len + 1):
+        yield from _spell(n)
 
 
 def is_prefix(a: str, b: str) -> bool:

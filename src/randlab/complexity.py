@@ -29,11 +29,10 @@ from .machine import (
     REG_IDENTITY,
     REG_PAD,
     REG_PAIR,
+    _check_budget,
     _context,
     prefix_universal_run,
-    prefix_universal_status,
     universal_run,
-    universal_status,
 )
 from .prefixfree import cover_measure
 
@@ -115,22 +114,28 @@ def registry_constants() -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
+def _statuses(prefix: bool, max_len: int, len_limit: int, budget: int):
+    """(p, V's status on p if `prefix` else U's) at the checked budget, |p| <= max_len."""
+    if len_limit < 0:
+        return iter(())  # no programs, and no universe to run them
+    budget, ctx = _check_budget(budget), _context(len_limit)
+    status = ctx.v_status if prefix else ctx.u_status
+    return ((p, status(p, budget)) for p in all_strings(max_len))
+
+
 def _witness_table(prefix: bool, len_limit: int, budget: int) -> tuple[dict, str | None]:
-    budget = operator.index(budget)  # before the lookup: 1e5 == 100_000 as a key
     if len_limit < 0:
         return {}, None  # no programs, and no universe to hold the table
+    budget = operator.index(budget)  # before the lookup: 1e5 == 100_000 as a key
     tables = _context(len_limit).tables
     entry = tables.get((prefix, budget))
     if entry is None:
-        runner = prefix_universal_run if prefix else universal_run
-        classify = prefix_universal_status if prefix else universal_status
         table: dict[str, str] = {}
         frontier = None
-        for p in all_strings(len_limit):
-            out = runner(p, budget, len_limit)
-            if out.halted:
-                table.setdefault(out.output, p)
-            elif frontier is None and classify(p, budget, len_limit) == "unresolved":
+        for p, st in _statuses(prefix, len_limit, len_limit, budget):
+            if st[0] == "h":
+                table.setdefault(st[2], p)
+            elif frontier is None and st[0] == "u":
                 frontier = p
         entry = tables[(prefix, budget)] = (table, frontier)
     return entry
@@ -185,11 +190,8 @@ def census_incompressible(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    produced: set[str] = set()
-    for p in all_strings(min(n - 1, len_limit)):
-        out = universal_run(p, budget, len_limit)
-        if out.halted and len(out.output) == n:
-            produced.add(out.output)
+    sweep = _statuses(False, min(n - 1, len_limit), len_limit, budget)
+    produced = {st[2] for _, st in sweep if st[0] == "h" and len(st[2]) == n}
     return 2**n - len(produced)
 
 
@@ -332,5 +334,5 @@ def budget_short_programs(
     program for the same output and evict an entry.
     """
     table, _ = _witness_table(True, len_limit, budget)
-    runs = ((p, prefix_universal_run(p, budget, len_limit)) for p in all_strings(len_limit))
-    return [p for p, out in runs if out.halted and len(table[out.output]) == len(p)]
+    sweep = _statuses(True, len_limit, len_limit, budget)
+    return [p for p, st in sweep if st[0] == "h" and len(table[st[2]]) == len(p)]

@@ -57,8 +57,9 @@ import json
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 
-from .bitstr import _check_bits, index_to_string, string_to_index
+from .bitstr import _check_bits, _spell, index_to_string, string_to_index
 from .prefixfree import is_prefix_free
 
 REG_IDENTITY = 0
@@ -344,11 +345,8 @@ class _Context:
         for k in range(1, len(b) + 1):
             rank = 2 * rank + (2 if b[k - 1] == "1" else 1)
             yield rank, b[:k]
-        for length in range(len(b) + 1, self.len_limit + 1):
-            width = length - len(b)
-            start = ((rank + 1) << width) - 1
-            for off in range(1 << width):
-                yield start + off, b + format(off, f"0{width}b")
+        for width in range(1, self.len_limit - len(b) + 1):
+            yield from zip(count(((rank + 1) << width) - 1), _spell(width, b))
 
     def guard_status(self, machine: MachineBehavior, b: str, cap: int):
         if machine.kind == "decoded-table" and machine.table is None:

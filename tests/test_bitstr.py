@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +14,7 @@ from randlab.bitstr import (
     Dyadic,
     DYADIC_ONE,
     DYADIC_ZERO,
+    _spell,
     all_strings,
     bits_of,
     index_to_string,
@@ -75,7 +76,23 @@ def test_round_trip_and_length_bound() -> None:
 
 
 def test_all_strings_is_the_enumeration_prefix() -> None:
-    assert list(all_strings(4)) == [index_to_string(m) for m in range(2**5 - 1)]
+    # lengths past 8 join a high part to the 8-bit low table
+    for max_len in range(-3, 18):
+        expected = (index_to_string(m) for m in range((1 << max(max_len + 1, 0)) - 1))
+        assert all(a == b for a, b in zip_longest(all_strings(max_len), expected)), max_len
+
+
+def test_spell_yields_every_string_of_its_width_in_order() -> None:
+    for width in range(21):
+        expected = map("".join, product("01", repeat=width))
+        assert all(a == b for a, b in zip_longest(_spell(width), expected)), width
+    assert list(_spell(3, "10")) == ["10" + "".join(t) for t in product("01", repeat=3)]
+
+
+def test_spell_is_lazy_at_any_width() -> None:
+    # 2^60 strings: only a generator that spells a high part at a time returns
+    first = list(islice(_spell(60, "1"), 300))
+    assert first == ["1" + format(m, "060b") for m in range(300)]
 
 
 @pytest.mark.parametrize("max_len", [-1, -2, -3, -64])

@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from randlab import complexity
+from randlab import complexity, machine
 from randlab.bitstr import all_strings, index_to_string
 from randlab.complexity import (
     ComplexityBound,
@@ -182,45 +182,48 @@ def test_exhaustive_matches_the_rescan_oracle() -> None:
     assert seen == {True, False}
 
 
+def spy_statuses(monkeypatch) -> list:
+    """Record every top-level U and V status call a universe answers; the
+    calls the engine makes from inside one are left out."""
+    calls, depth = [], [0]
+    for name in ("u_status", "v_status"):
+        def spy(self, prog, cap, fn=getattr(machine._Context, name), name=name):
+            if not depth[0]:
+                calls.append((name, prog, cap))
+            depth[0] += 1
+            try:
+                return fn(self, prog, cap)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(machine._Context, name, spy)
+    return calls
+
+
 def test_bounds_make_no_status_call_once_the_table_is_built(monkeypatch) -> None:
-    calls = []
-
-    def counted(fn):
-        def wrapper(*args):
-            calls.append((fn.__name__, args))
-            return fn(*args)
-
-        return wrapper
-
     plain_c("", 8, BIG)
     prefix_k("", 8, BIG)
-    for name in (
-        "universal_run",
-        "prefix_universal_run",
-        "universal_status",
-        "prefix_universal_status",
-    ):
-        monkeypatch.setattr(complexity, name, counted(getattr(complexity, name)))
+    calls = spy_statuses(monkeypatch)
     for b in strings_up_to(6):
         plain_c(b, 8, BIG)
         prefix_k(b, 8, BIG)
     assert calls == []
-    plain_c("", 7, BIG)  # a new table does go through the counted runners
-    assert calls
+    # a cold sweep asks the universe once per program, in length-lex order
+    monkeypatch.setattr(machine, "_CONTEXTS", {})
+    for bound, name in ((plain_c, "u_status"), (prefix_k, "v_status")):
+        calls.clear()
+        bound("", 7, BIG)
+        assert len(calls) == 2**8 - 1
+        assert calls == [(name, p, BIG) for p in all_strings(7)]
 
 
 def test_witness_tables_follow_the_installed_code_table(monkeypatch) -> None:
-    calls = []
     plain = prefix_k("111", 8, BIG)
     try:
         install_code_table({"0": "111"})
         assert prefix_k("111", 8, BIG) == ComplexityBound(6, "111100", BIG, 8, True)
         clear_code_table()
-        for name in ("prefix_universal_run", "prefix_universal_status"):
-            fn = getattr(complexity, name)
-            monkeypatch.setattr(
-                complexity, name, lambda *args, fn=fn: calls.append(args) or fn(*args)
-            )
+        calls = spy_statuses(monkeypatch)
         # the default universe kept its table across the install
         assert prefix_k("111", 8, BIG) == plain
         assert calls == []
@@ -228,10 +231,33 @@ def test_witness_tables_follow_the_installed_code_table(monkeypatch) -> None:
         clear_code_table()
 
 
-def test_negative_len_limit_has_no_programs() -> None:
+@pytest.mark.parametrize("budget,error", [(-1, ValueError), (2.5, TypeError)])
+def test_sweeps_refuse_a_bad_budget_before_their_first_program(budget, error) -> None:
+    # census_incompressible(0, budget=-1) ran no program, so it answered 1
+    for len_limit in (0, 3):
+        for sweep in (
+            lambda: census_incompressible(0, len_limit, budget),
+            lambda: census_incompressible(2, len_limit, budget),
+            lambda: budget_short_programs(len_limit, budget),
+            lambda: plain_c("", len_limit, budget),
+            lambda: prefix_k("", len_limit, budget),
+        ):
+            with pytest.raises(error):
+                sweep()
+
+
+def test_negative_len_limit_has_no_programs(monkeypatch) -> None:
+    # nor a universe to run them in, so no budget is checked
+    monkeypatch.setattr(machine, "_CONTEXTS", {})
     assert plain_c("0", -1) is None
     assert prefix_k("0", -1) is None
-    assert budget_short_programs(-1) == []
+    for budget in (-1, 2.5, 0, BIG):
+        assert census_incompressible(0, -1, budget) == 1
+        assert census_incompressible(3, -2, budget) == 8
+        assert budget_short_programs(-1, budget) == []
+        assert plain_c("", -1, budget) is None
+        assert prefix_k("", -3, budget) is None
+    assert machine._CONTEXTS == {}
     report = subadditivity_probe(1, len_limit=-1)
     assert (report.plain_pairs, report.prefix_pairs) == (0, 0)
 
@@ -561,3 +587,99 @@ def test_lengthened_map_constant() -> None:
         padded = plain_c(image, 12, BIG)
         assert direct is not None and padded is not None
         assert padded.value <= direct.value + k_pad
+
+
+# ---------------------------------------------------------------------------
+# the sweeps against the runner-plus-classifier oracle
+# ---------------------------------------------------------------------------
+
+
+def runner_witness_table(prefix: bool, len_limit: int, budget: int):
+    """Oracle: the witness table as first written, one public runner call per
+    program, and the public classifier for each one that did not halt."""
+    if len_limit < 0:
+        return {}, None
+    tables = machine._context(len_limit).tables
+    entry = tables.get((prefix, budget))
+    if entry is None:
+        runner = prefix_universal_run if prefix else universal_run
+        classify = prefix_universal_status if prefix else universal_status
+        table: dict[str, str] = {}
+        frontier = None
+        for p in all_strings(len_limit):
+            out = runner(p, budget, len_limit)
+            if out.halted:
+                table.setdefault(out.output, p)
+            elif frontier is None and classify(p, budget, len_limit) == "unresolved":
+                frontier = p
+        entry = tables[(prefix, budget)] = (table, frontier)
+    return entry
+
+
+def runner_census(n: int, len_limit: int, budget: int) -> int:
+    """Oracle: the census as first written, through the public runner."""
+    produced = set()
+    for p in all_strings(min(n - 1, len_limit)):
+        out = universal_run(p, budget, len_limit)
+        if out.halted and len(out.output) == n:
+            produced.add(out.output)
+    return 2**n - len(produced)
+
+
+def runner_short_programs(len_limit: int, budget: int) -> list[str]:
+    """Oracle: budget_short_programs as first written, through the runner."""
+    table, _ = runner_witness_table(True, len_limit, budget)
+    runs = ((p, prefix_universal_run(p, budget, len_limit)) for p in all_strings(len_limit))
+    return [p for p, out in runs if out.halted and len(table[out.output]) == len(p)]
+
+
+SWEEPS = {
+    "engine": (complexity._witness_table, census_incompressible, budget_short_programs),
+    "oracle": (runner_witness_table, runner_census, runner_short_programs),
+}
+SWEEP_BUDGETS = (0, 5, 100, 10_000, BIG)
+SWEEP_TABLE = {"0": "1", "10": "", "110": "0101", "111": "1"}
+
+
+def sweep_answers(side: str, prefix: bool, len_limit: int, budget: int):
+    table_of, census, short_programs = SWEEPS[side]
+    table, frontier = table_of(prefix, len_limit, budget)
+    answers = [list(table.items()), frontier]
+    if prefix:
+        answers.append(short_programs(len_limit, budget))
+    else:
+        answers += [census(n, len_limit, budget) for n in (len_limit // 2, len_limit + 1)]
+    return answers
+
+
+def universes() -> dict:
+    # every universe's memos and tables, in insertion order
+    return {
+        key: (
+            list(ctx._machine.items()),
+            list(ctx._v.items()),
+            [(k, list(table.items()), frontier) for k, (table, frontier) in ctx.tables.items()],
+        )
+        for key, ctx in machine._CONTEXTS.items()
+    }
+
+
+@pytest.mark.parametrize("code_table", [{}, SWEEP_TABLE], ids=["no-table", "table"])
+@pytest.mark.parametrize("len_limit", [*range(11), 12, 13])
+def test_sweeps_match_the_runner_oracle(len_limit, code_table, monkeypatch) -> None:
+    # the same status calls at the same caps in the same order: equal answers
+    # and byte-equal memos, from a cold universe per query and from one warm
+    # universe that answers the whole grid in turn
+    grid = [(prefix, budget) for budget in SWEEP_BUDGETS for prefix in (False, True)]
+    warm = {side: {} for side in SWEEPS}
+    try:
+        install_code_table(code_table)
+        for cold in (True, False):
+            for prefix, budget in grid:
+                seen = {}
+                for side in SWEEPS:
+                    monkeypatch.setattr(machine, "_CONTEXTS", {} if cold else warm[side])
+                    seen[side] = sweep_answers(side, prefix, len_limit, budget), universes()
+                assert seen["engine"] == seen["oracle"], (cold, prefix, budget)
+    finally:
+        clear_code_table()

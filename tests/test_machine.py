@@ -800,6 +800,22 @@ def test_comparables_match_the_string_indexed_oracle(len_limit) -> None:
         assert list(ctx._comparables(b)) == list(string_indexed_comparables(b, len_limit)), b
 
 
+def test_comparables_stay_lazy_on_long_limits() -> None:
+    # subadd's contexts walk extensions up to width 26; never hold a level
+    ctx = machine._Context(20, ())
+    for b in all_strings(4):
+        got = itertools.islice(ctx._comparables(b), 5000)
+        assert list(got) == list(itertools.islice(string_indexed_comparables(b, 20), 5000)), b
+    ctx = machine._Context(60, ())
+    for b in ("", "0", "1101"):
+        extensions = itertools.islice(ctx._comparables(b), len(b) + 1, None)
+        assert next(extensions) == (string_to_index(b + "0"), b + "0")
+    deep = "0" * 59  # one bit short of the limit: one level of extensions
+    assert list(ctx._comparables(deep))[-2:] == [
+        (string_to_index(deep + "0"), deep + "0"), (string_to_index(deep + "1"), deep + "1")
+    ]
+
+
 class CapSpyContext(machine._Context):
     """Records, for every pair evaluation, the caps at which it asks V."""
 
