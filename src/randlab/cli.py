@@ -211,11 +211,7 @@ def _cmd_complexity_census(args) -> int:
 def _cmd_complexity_pad(args) -> int:
     witness = pad_witness(STREAMS[args.stream], args.k, args.len_limit, args.budget)
     if witness is None:
-        print(
-            f"randlab: no pad witness for k={args.k} within len_limit={args.len_limit}",
-            file=sys.stderr,
-        )
-        return 1
+        raise ValueError(f"no pad witness for k={args.k} within len_limit={args.len_limit}")
     rows = [
         {
             "stream": args.stream,
@@ -233,11 +229,7 @@ def _cmd_complexity_pad(args) -> int:
 def _cmd_complexity_horizon(args) -> int:
     m = horizon_search(args.k, args.max_m, args.len_limit, args.budget)
     if m is None:
-        print(
-            f"randlab: no horizon for k={args.k} below m={args.max_m} at these limits",
-            file=sys.stderr,
-        )
-        return 1
+        raise ValueError(f"no horizon for k={args.k} below m={args.max_m} at these limits")
     _emit(args, ["k", "m"], [{"k": args.k, "m": m}])
     return 0
 
@@ -262,12 +254,10 @@ def _cmd_omega(args) -> int:
     if args.until_mass is not None:
         halted = psi_reconstruct(args.until_mass, args.stage, args.len_limit)
         if halted is None:
-            print(
-                f"randlab: halted mass within {args.stage} stages never exceeds "
-                f"the threshold {spell(args.until_mass)}",
-                file=sys.stderr,
+            raise ValueError(
+                f"halted mass within {args.stage} stages never exceeds "
+                f"the threshold {spell(args.until_mass)}"
             )
-            return 1
         _emit(args, ["program"], [{"program": spell(p)} for p in _canonical(halted)])
         return 0
     rows = []
@@ -444,7 +434,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.set_defaults(handler=_cmd_complexity_census)
     q = csub.add_parser("pad", parents=[_common_flags()], help="pad-compressed stream prefixes")
     q.add_argument("--stream", choices=sorted(STREAMS), default="zeros")
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--k", type=_count_arg, required=True)
     q.set_defaults(handler=_cmd_complexity_pad, len_limit=PAD_SCAN_LIMIT)
     q = csub.add_parser("horizon", parents=[_common_flags()], help="compressible-prefix horizon")
     q.add_argument("--k", type=int, required=True)

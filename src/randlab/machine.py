@@ -454,11 +454,8 @@ class _Context:
 
 
 # ---------------------------------------------------------------------------
-# context registry and the installable code table
+# the registry: the installed code table and its universes
 # ---------------------------------------------------------------------------
-
-_CODE_TABLE: tuple[tuple[str, str], ...] = ()
-_CONTEXTS: dict[tuple[int, tuple], _Context] = {}
 
 
 def _fingerprint(code_table: tuple[tuple[str, str], ...]) -> str:
@@ -472,18 +469,28 @@ def _fingerprint(code_table: tuple[tuple[str, str], ...]) -> str:
     return digest.hexdigest()
 
 
-# hashed once per installed code table, not on every lookup
-_FINGERPRINT = _fingerprint(_CODE_TABLE)
+class _Registry:
+    """One installed code table (sorted items), its fingerprint, hashed once,
+    and its universes by len_limit.  Installing a different table replaces
+    the whole object, so the retired table's universes are freed with it."""
+
+    __slots__ = ("code_table", "fingerprint", "contexts")
+
+    def __init__(self, code_table: tuple[tuple[str, str], ...]):
+        self.code_table = code_table
+        self.fingerprint = _fingerprint(code_table)
+        self.contexts: dict[int, _Context] = {}
+
+
+_REGISTRY = _Registry(())
 
 
 def _context(len_limit: int) -> _Context:
     if len_limit < 0:
         raise ValueError("len_limit must be nonnegative")
-    key = (len_limit, _CODE_TABLE)
-    ctx = _CONTEXTS.get(key)
+    ctx = _REGISTRY.contexts.get(len_limit)
     if ctx is None:
-        ctx = _Context(len_limit, _CODE_TABLE)
-        _CONTEXTS[key] = ctx
+        ctx = _REGISTRY.contexts[len_limit] = _Context(len_limit, _REGISTRY.code_table)
     return ctx
 
 
@@ -491,13 +498,14 @@ def install_code_table(table: dict[str, str]) -> None:
     """Install the finite decoder behind registry index 4.
 
     Keys must form an antichain so the code-table behavior is prefix-free
-    by construction.
+    by construction.  Re-installing the installed table keeps its universes.
     """
-    global _CODE_TABLE, _FINGERPRINT
+    global _REGISTRY
     items = tuple(sorted((_check_bits(k), _check_bits(v)) for k, v in table.items()))
     if not is_prefix_free([k for k, _ in items]):
         raise ValueError("code table keys must form an antichain")
-    _CODE_TABLE, _FINGERPRINT = items, _fingerprint(items)
+    if items != _REGISTRY.code_table:
+        _REGISTRY = _Registry(items)
 
 
 def clear_code_table() -> None:
@@ -505,11 +513,11 @@ def clear_code_table() -> None:
 
 
 def current_code_table() -> dict[str, str]:
-    return dict(_CODE_TABLE)
+    return dict(_REGISTRY.code_table)
 
 
 def registry_fingerprint() -> str:
-    return _FINGERPRINT
+    return _REGISTRY.fingerprint
 
 
 # ---------------------------------------------------------------------------

@@ -368,6 +368,7 @@ def test_validate_formats_share_data(capsys, fmt):
         ("complexity", "census", "--max-n", "-1"),
         ("complexity", "subadd", "--max-n", "-1"),
         ("complexity", "horizon", "--k", "1", "--max-m", "-1"),
+        ("complexity", "pad", "--k", "-1"),
         ("mltest", "validate", "--test", "leading-zeros", "--levels", "-1"),
         ("mltest", "universal", "--level", "-2"),
         ("mltest", "bridge", "--test", "leading-zeros", "--n-max", "-3"),
@@ -443,6 +444,21 @@ def test_zero_counts_are_accepted(capsys):
     code, out, _ = run(capsys, "omega", "--stage", "0", "--budget", "0")
     assert code == 0
     assert split_report(out)[2] == []
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (("complexity", "pad", "--k", "0", "--len-limit", "10"),
+         "randlab: no pad witness for k=0 within len_limit=10\n"),
+        (("complexity", "horizon", "--k", "0", "--max-m", "4"),
+         "randlab: no horizon for k=0 below m=4 at these limits\n"),
+        (("omega", "--until-mass", "1", "--stage", "5"),
+         "randlab: halted mass within 5 stages never exceeds the threshold 1\n"),
+    ],
+)
+def test_searches_that_find_nothing_end_with_one_line(capsys, argv, err):
+    assert run(capsys, *argv) == (1, "", err)
 
 
 def test_file_errors_end_with_one_line(capsys, tmp_path):

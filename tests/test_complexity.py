@@ -14,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+from conftest import fresh_universes
 from randlab import complexity, machine
 from randlab.bitstr import all_strings, index_to_string
 from randlab.complexity import (
@@ -209,26 +210,24 @@ def test_bounds_make_no_status_call_once_the_table_is_built(monkeypatch) -> None
         prefix_k(b, 8, BIG)
     assert calls == []
     # a cold sweep asks the universe once per program, in length-lex order
-    monkeypatch.setattr(machine, "_CONTEXTS", {})
-    for bound, name in ((plain_c, "u_status"), (prefix_k, "v_status")):
-        calls.clear()
-        bound("", 7, BIG)
-        assert len(calls) == 2**8 - 1
-        assert calls == [(name, p, BIG) for p in all_strings(7)]
+    with fresh_universes():
+        for bound, name in ((plain_c, "u_status"), (prefix_k, "v_status")):
+            calls.clear()
+            bound("", 7, BIG)
+            assert len(calls) == 2**8 - 1
+            assert calls == [(name, p, BIG) for p in all_strings(7)]
 
 
 def test_witness_tables_follow_the_installed_code_table(monkeypatch) -> None:
     plain = prefix_k("111", 8, BIG)
-    try:
-        install_code_table({"0": "111"})
-        assert prefix_k("111", 8, BIG) == ComplexityBound(6, "111100", BIG, 8, True)
-        clear_code_table()
-        calls = spy_statuses(monkeypatch)
-        # the default universe kept its table across the install
-        assert prefix_k("111", 8, BIG) == plain
-        assert calls == []
-    finally:
-        clear_code_table()
+    install_code_table({"0": "111"})
+    assert prefix_k("111", 8, BIG) == ComplexityBound(6, "111100", BIG, 8, True)
+    clear_code_table()
+    calls = spy_statuses(monkeypatch)
+    # installing a table freed the default universes, so the table is swept
+    # again, once per program, to the same answer
+    assert prefix_k("111", 8, BIG) == plain
+    assert len(calls) == 2**9 - 1
 
 
 @pytest.mark.parametrize("budget,error", [(-1, ValueError), (2.5, TypeError)])
@@ -246,18 +245,18 @@ def test_sweeps_refuse_a_bad_budget_before_their_first_program(budget, error) ->
                 sweep()
 
 
-def test_negative_len_limit_has_no_programs(monkeypatch) -> None:
+def test_negative_len_limit_has_no_programs() -> None:
     # nor a universe to run them in, so no budget is checked
-    monkeypatch.setattr(machine, "_CONTEXTS", {})
-    assert plain_c("0", -1) is None
-    assert prefix_k("0", -1) is None
-    for budget in (-1, 2.5, 0, BIG):
-        assert census_incompressible(0, -1, budget) == 1
-        assert census_incompressible(3, -2, budget) == 8
-        assert budget_short_programs(-1, budget) == []
-        assert plain_c("", -1, budget) is None
-        assert prefix_k("", -3, budget) is None
-    assert machine._CONTEXTS == {}
+    with fresh_universes() as registry:
+        assert plain_c("0", -1) is None
+        assert prefix_k("0", -1) is None
+        for budget in (-1, 2.5, 0, BIG):
+            assert census_incompressible(0, -1, budget) == 1
+            assert census_incompressible(3, -2, budget) == 8
+            assert budget_short_programs(-1, budget) == []
+            assert plain_c("", -1, budget) is None
+            assert prefix_k("", -3, budget) is None
+    assert registry.contexts == {}
     report = subadditivity_probe(1, len_limit=-1)
     assert (report.plain_pairs, report.prefix_pairs) == (0, 0)
 
@@ -660,26 +659,25 @@ def universes() -> dict:
             list(ctx._v.items()),
             [(k, list(table.items()), frontier) for k, (table, frontier) in ctx.tables.items()],
         )
-        for key, ctx in machine._CONTEXTS.items()
+        for key, ctx in machine._REGISTRY.contexts.items()
     }
 
 
 @pytest.mark.parametrize("code_table", [{}, SWEEP_TABLE], ids=["no-table", "table"])
 @pytest.mark.parametrize("len_limit", [*range(11), 12, 13])
-def test_sweeps_match_the_runner_oracle(len_limit, code_table, monkeypatch) -> None:
+def test_sweeps_match_the_runner_oracle(len_limit, code_table) -> None:
     # the same status calls at the same caps in the same order: equal answers
     # and byte-equal memos, from a cold universe per query and from one warm
     # universe that answers the whole grid in turn
     grid = [(prefix, budget) for budget in SWEEP_BUDGETS for prefix in (False, True)]
-    warm = {side: {} for side in SWEEPS}
-    try:
-        install_code_table(code_table)
-        for cold in (True, False):
-            for prefix, budget in grid:
-                seen = {}
-                for side in SWEEPS:
-                    monkeypatch.setattr(machine, "_CONTEXTS", {} if cold else warm[side])
+    install_code_table(code_table)
+    warm = {side: None for side in SWEEPS}
+    for cold in (True, False):
+        for prefix, budget in grid:
+            seen = {}
+            for side in SWEEPS:
+                with fresh_universes(None if cold else warm[side]) as registry:
                     seen[side] = sweep_answers(side, prefix, len_limit, budget), universes()
-                assert seen["engine"] == seen["oracle"], (cold, prefix, budget)
-    finally:
-        clear_code_table()
+                if not cold:
+                    warm[side] = registry
+            assert seen["engine"] == seen["oracle"], (cold, prefix, budget)

@@ -3,6 +3,9 @@
 Every number randlab reports is exact, so its source holds no true division,
 no float literal, no use of the name ``float`` and no ``math`` import.  The
 check reads the syntax tree, so strings and comments may still mention them.
+
+A second lint keeps the module state in one place: the only ``global``
+statement rebinds the registry object, in ``install_code_table``.
 """
 
 from __future__ import annotations
@@ -52,3 +55,28 @@ def test_the_lint_reads_the_whole_package() -> None:
 def test_source_is_exact(path: Path) -> None:
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert inexact_nodes(tree) == []
+
+
+def global_statements(tree: ast.AST, owner: str | None = None) -> list[tuple]:
+    """(enclosing function or None, names) for every global statement."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Global):
+            found.append((owner, node.names))
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+        found += global_statements(node, inner)
+    return found
+
+
+def test_the_lint_sees_every_global_statement() -> None:
+    snippet = "global a\ndef f():\n    global b, c\n    def g():\n        global d\n"
+    assert global_statements(ast.parse(snippet)) == [(None, ["a"]), ("f", ["b", "c"]), ("g", ["d"])]
+
+
+def test_module_state_is_rebound_in_one_place() -> None:
+    found = [
+        (path.name, owner, len(names))
+        for path in SOURCES
+        for owner, names in global_statements(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == [("machine.py", "install_code_table", 1)]

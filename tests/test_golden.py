@@ -13,7 +13,8 @@ import hashlib
 import pytest
 
 from randlab.cli import main
-from randlab.machine import clear_code_table, current_code_table, install_code_table
+from randlab.complexity import prefix_k
+from randlab.machine import clear_code_table, install_code_table
 
 GOLDEN = [
     (["enum", "--count", "64"], 0,
@@ -58,37 +59,47 @@ GOLDEN = [
 ]
 
 
-@pytest.fixture
-def default_registry():
-    """Run with no code table installed (the fingerprint is in every header)."""
-    saved = current_code_table()
-    clear_code_table()
-    yield
-    if saved:
-        install_code_table(saved)
-
-
 @pytest.mark.parametrize(
     "argv, code, digest", GOLDEN, ids=[" ".join(argv) for argv, _, _ in GOLDEN]
 )
-def test_golden_report(argv, code, digest, tmp_path, default_registry) -> None:
+def test_golden_report(argv, code, digest, tmp_path) -> None:
     out = tmp_path / "report.txt"
     assert main(argv + ["--out", str(out)]) == code
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("k", ["0", "1"])
-def test_horizon_without_report_exits_one(k, tmp_path, default_registry) -> None:
+def test_horizon_without_report_exits_one(k, tmp_path) -> None:
     out = tmp_path / "report.txt"
     assert main(["complexity", "horizon", "--k", k, "--out", str(out)]) == 1
     assert not out.exists()
+
+
+UNIVERSE_READERS = [
+    case for case in GOLDEN
+    if case[0][0] in ("complexity", "omega") or case[0][:2] == ["mltest", "score"]
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest", UNIVERSE_READERS, ids=[" ".join(argv) for argv, _, _ in UNIVERSE_READERS]
+)
+def test_golden_report_after_a_retired_table(argv, code, digest, tmp_path) -> None:
+    # the default universes rebuilt after another table was installed, used
+    # and cleared answer as a fresh process does
+    install_code_table({"0": "111"})
+    prefix_k("", 13)
+    clear_code_table()
+    out = tmp_path / "report.txt"
+    assert main(argv + ["--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 MLTEST = [case for case in GOLDEN if case[0][0] == "mltest"]
 
 
 @pytest.mark.parametrize("first", ["forward", "reversed"])
-def test_mltest_reports_in_a_warm_process(first, tmp_path, default_registry) -> None:
+def test_mltest_reports_in_a_warm_process(first, tmp_path) -> None:
     """Each mltest command twice in one process, once in each order: the
     level tables shared across commands and depths change no report."""
     orders = [MLTEST, MLTEST[::-1]]

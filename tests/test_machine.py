@@ -6,16 +6,18 @@ frozen here; each trace is spelled out next to its assertion.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 import tracemalloc
-from contextlib import contextmanager
+import weakref
 from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fresh_universes
 from randlab import machine
 from randlab.bitstr import all_strings, index_to_string, string_to_index
 from randlab.complexity import _witness_table, plain_c, prefix_k
@@ -40,13 +42,6 @@ from randlab.machine import (
 from randlab.prefixfree import is_prefix_free
 
 BIG = 100_000
-
-
-@pytest.fixture(autouse=True)
-def _clean_code_table():
-    clear_code_table()
-    yield
-    clear_code_table()
 
 
 def echo_program(b: str) -> str:
@@ -635,17 +630,6 @@ def test_statuses_match_the_four_memo_engine(len_limit, code_table) -> None:
     assert_same_statuses(FourMemoContext, len_limit, code_table)
 
 
-@contextmanager
-def fresh_universes():
-    """Run the body against empty contexts, so its memos start cold."""
-    saved = machine._CONTEXTS
-    machine._CONTEXTS = {}
-    try:
-        yield
-    finally:
-        machine._CONTEXTS = saved
-
-
 def shifted(outcome, n: int):
     # the outcome U or V reports for 1^n 0 x, given machine n's on x
     return (outcome.status, outcome.output, outcome.steps_used + n + 1, outcome.budget + n + 1)
@@ -769,9 +753,9 @@ class CountingContext(machine._Context):
 def test_cold_prefix_table_skips_the_splits_proven_dead(monkeypatch) -> None:
     # 174,290 V queries when the divergence pass asked every split again
     monkeypatch.setattr(machine, "_Context", CountingContext)
-    with fresh_universes():
+    with fresh_universes() as registry:
         prefix_k("", 13, BIG)
-        (ctx,) = machine._CONTEXTS.values()
+    (ctx,) = registry.contexts.values()
     assert 0 < ctx.v_calls <= 110_000
 
 
@@ -889,6 +873,40 @@ def test_fingerprint_is_hashed_once_per_code_table(monkeypatch) -> None:
     clear_code_table()
     assert registry_fingerprint() == baseline
     assert hashed == [(("0", "111"),), ()]
+
+
+def test_installing_another_table_frees_the_retired_universes(monkeypatch) -> None:
+    # _Context has slots and no __weakref__; a plain subclass has both
+    monkeypatch.setattr(machine, "_Context", type("WeakContext", (machine._Context,), {}))
+    install_code_table({"0": "111"})
+    prefix_k("", 8, BIG)
+    retired = weakref.ref(machine._context(8))
+    install_code_table({"0": "1"})
+    gc.collect()
+    assert retired() is None
+
+
+def test_retired_universes_hold_no_memory() -> None:
+    # with every universe kept, six tables' prefix tables held 16.5 MiB here
+    tracemalloc.start()
+    try:
+        for k in range(1, 7):
+            install_code_table({"0" * k: "1"})
+            prefix_k("", 13, BIG)
+        clear_code_table()
+        gc.collect()
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert live < 5 * 2**20
+
+
+def test_reinstalling_the_table_keeps_its_universes(monkeypatch) -> None:
+    install_code_table({"0": "111", "10": ""})
+    ctx = machine._context(8)
+    monkeypatch.setattr(machine, "_fingerprint", None)  # and hashes nothing
+    install_code_table({"10": "", "0": "111"})
+    assert machine._context(8) is ctx
 
 
 def test_code_table_rejects_non_antichain() -> None:

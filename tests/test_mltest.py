@@ -78,13 +78,6 @@ def brute_measure(members, depth: int) -> Fraction:
     return Fraction(len(leaves_below(members, depth)), 2**depth)
 
 
-@pytest.fixture(autouse=True)
-def _clean_code_table():
-    clear_code_table()
-    yield
-    clear_code_table()
-
-
 def by_name(tests):
     return {t.name: t for t in tests}
 

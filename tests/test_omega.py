@@ -9,7 +9,6 @@ is checked for stages asked in any order.
 
 from __future__ import annotations
 
-import contextlib
 from fractions import Fraction
 from functools import lru_cache
 
@@ -17,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fresh_universes
 from randlab import machine
 from randlab.bitstr import DYADIC_ZERO, Dyadic, bits_of, index_to_string, value_of
 from randlab.machine import (
@@ -246,17 +246,6 @@ def oracle_psi(a: str, events: list[DovetailEvent]) -> frozenset[str] | None:
         if mass > target:
             return frozenset(e.program for e in events[: k + 1] if len(e.program) <= len(a))
     return None
-
-
-@contextlib.contextmanager
-def fresh_universes():
-    """Run the body against empty contexts, so its replays start cold."""
-    saved = machine._CONTEXTS
-    machine._CONTEXTS = {}
-    try:
-        yield
-    finally:
-        machine._CONTEXTS = saved
 
 
 def check_stage(stage: int, len_limit: int) -> None:
