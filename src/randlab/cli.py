@@ -86,13 +86,14 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _report_text(fmt: str, config: dict, columns: list[str], rows: Iterable[dict]) -> str:
+def _report_text(fmt: str, config: dict, columns: list[str], rows: Iterable[tuple]) -> str:
+    """The report text; each row holds its cells in `columns` order."""
     if fmt == "json":
         # json.dumps(payload, indent=2, sort_keys=True) spelled 1024 rows per
         # call: no list of every row dict is held, and a call per row is 2.6x slower
         head = json.dumps({"config": config, "results": []}, indent=2, sort_keys=True)
         rows, batches = iter(rows), []
-        while batch := list(itertools.islice(rows, 1024)):
+        while batch := [dict(zip(columns, r, strict=True)) for r in itertools.islice(rows, 1024)]:
             text = json.dumps(batch, indent=2, sort_keys=True)  # "[\n  {...},\n  {...}\n]"
             batches.append("  " + text[2:-2].replace("\n", "\n  "))
         if not batches:
@@ -103,7 +104,7 @@ def _report_text(fmt: str, config: dict, columns: list[str], rows: Iterable[dict
         buf.write(f"# {key}={value}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    writer.writerows([_cell(row[c]) for c in columns] for row in rows)
+    writer.writerows(map(_cell, row) for row in rows)
     return buf.getvalue()
 
 
@@ -115,7 +116,7 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _emit(args, columns: list[str], rows: Iterable[dict]) -> None:
+def _emit(args, columns: list[str], rows: Iterable[tuple]) -> None:
     config = {
         "budget": args.budget,
         "len_limit": args.len_limit,
@@ -152,7 +153,7 @@ def _gather_strings(args) -> list[str]:
 
 
 def _cmd_enum(args) -> int:
-    rows = ({"index": m, "string": spell(index_to_string(m))} for m in range(args.count))
+    rows = ((m, spell(index_to_string(m))) for m in range(args.count))
     _emit(args, ["index", "string"], rows)
     return 0
 
@@ -171,10 +172,10 @@ def _cmd_kraft(args) -> int:
 def _cmd_measure(args) -> int:
     strings = _canonical(_gather_strings(args))
     rows = [
-        {"metric": "members", "value": len(strings)},
-        {"metric": "prefix_free", "value": is_prefix_free(strings)},
-        {"metric": "kraft_sum", "value": render_dyadic(kraft_sum(strings))},
-        {"metric": "cover_measure", "value": render_dyadic(cover_measure(strings))},
+        ("members", len(strings)),
+        ("prefix_free", is_prefix_free(strings)),
+        ("kraft_sum", render_dyadic(kraft_sum(strings))),
+        ("cover_measure", render_dyadic(cover_measure(strings))),
     ]
     _emit(args, ["metric", "value"], rows)
     return 0
@@ -183,12 +184,10 @@ def _cmd_measure(args) -> int:
 def _cmd_complexity_scan(args) -> int:
     rows = []
     for b in all_strings(args.max_len):
-        row: dict = {"string": spell(b)}
-        for tag, op in (("c", plain_c), ("k", prefix_k)):
+        row = [spell(b)]
+        for op in (plain_c, prefix_k):
             bound = op(b, args.len_limit, args.budget)
-            row[f"{tag}_value"] = bound.value if bound else None
-            row[f"{tag}_witness"] = spell(bound.witness) if bound else None
-            row[f"{tag}_exhaustive"] = bound.exhaustive if bound else None
+            row += (bound.value, spell(bound.witness), bound.exhaustive) if bound else (None,) * 3
         rows.append(row)
     columns = ["string"] + [f"{t}_{f}" for t in "ck" for f in ("value", "witness", "exhaustive")]
     _emit(args, columns, rows)
@@ -197,11 +196,7 @@ def _cmd_complexity_scan(args) -> int:
 
 def _cmd_complexity_census(args) -> int:
     rows = [
-        {
-            "n": n,
-            "incompressible": census_incompressible(n, args.len_limit, args.budget),
-            "strings": 2**n,
-        }
+        (n, census_incompressible(n, args.len_limit, args.budget), 2**n)
         for n in range(args.max_n + 1)
     ]
     _emit(args, ["n", "incompressible", "strings"], rows)
@@ -212,17 +207,9 @@ def _cmd_complexity_pad(args) -> int:
     witness = pad_witness(STREAMS[args.stream], args.k, args.len_limit, args.budget)
     if witness is None:
         raise ValueError(f"no pad witness for k={args.k} within len_limit={args.len_limit}")
-    rows = [
-        {
-            "stream": args.stream,
-            "k": args.k,
-            "n": witness.n,
-            "value": witness.bound.value,
-            "witness": spell(witness.bound.witness),
-            "overhead": witness.overhead,
-        }
-    ]
-    _emit(args, ["stream", "k", "n", "value", "witness", "overhead"], rows)
+    bound = witness.bound
+    row = (args.stream, args.k, witness.n, bound.value, spell(bound.witness), witness.overhead)
+    _emit(args, ["stream", "k", "n", "value", "witness", "overhead"], [row])
     return 0
 
 
@@ -230,22 +217,17 @@ def _cmd_complexity_horizon(args) -> int:
     m = horizon_search(args.k, args.max_m, args.len_limit, args.budget)
     if m is None:
         raise ValueError(f"no horizon for k={args.k} below m={args.max_m} at these limits")
-    _emit(args, ["k", "m"], [{"k": args.k, "m": m}])
+    _emit(args, ["k", "m"], [(args.k, m)])
     return 0
 
 
 def _cmd_complexity_subadd(args) -> int:
-    report = subadditivity_probe(args.max_n, args.len_limit, args.budget)
-    row = {
-        "n_max": report.n_max,
-        "pair_overhead": report.pair_overhead,
-        "plain_gap_max": report.plain_gap_max,
-        "plain_pairs": report.plain_pairs,
-        "prefix_violations": len(report.prefix_violations),
-        "prefix_pairs": report.prefix_pairs,
-    }
-    row.update(registry_constants())
-    columns = list(row)
+    r = subadditivity_probe(args.max_n, args.len_limit, args.budget)
+    constants = registry_constants()
+    columns = ["n_max", "pair_overhead", "plain_gap_max", "plain_pairs", "prefix_violations"]
+    row = [r.n_max, r.pair_overhead, r.plain_gap_max, r.plain_pairs, len(r.prefix_violations)]
+    columns += ["prefix_pairs", *constants]
+    row += [r.prefix_pairs, *constants.values()]
     _emit(args, columns, [row])
     return 0
 
@@ -258,21 +240,14 @@ def _cmd_omega(args) -> int:
                 f"halted mass within {args.stage} stages never exceeds "
                 f"the threshold {spell(args.until_mass)}"
             )
-        _emit(args, ["program"], [{"program": spell(p)} for p in _canonical(halted)])
+        _emit(args, ["program"], [(spell(p),) for p in _canonical(halted)])
         return 0
-    rows = []
     events, bounds = _stage_replay(args.stage, args.len_limit)
-    for event, running in zip(events, bounds[1:]):
-        rows.append(
-            {
-                "program": spell(event.program),
-                "stage": event.stage,
-                "status": event.outcome.status,
-                "output": spell(event.outcome.output),
-                "lower_bound": render_dyadic(running),
-                "lower_bound_decimal": running.decimal(),
-            }
-        )
+    rows = [
+        (spell(e.program), e.stage, e.outcome.status, spell(e.outcome.output))
+        + (render_dyadic(running), running.decimal())
+        for e, running in zip(events, bounds[1:])
+    ]
     columns = ["program", "stage", "status", "output", "lower_bound", "lower_bound_decimal"]
     _emit(args, columns, rows)
     return 0
@@ -281,13 +256,7 @@ def _cmd_omega(args) -> int:
 def _cmd_mltest_validate(args) -> int:
     verdicts = validate_sense1(registered_tests()[args.test], args.levels, args.depth)
     rows = [
-        {
-            "m": v.m,
-            "verdict": v.verdict,
-            "measure": render_dyadic(v.measure),
-            "bound": render_dyadic(v.bound),
-            "depth": v.depth,
-        }
+        (v.m, v.verdict, render_dyadic(v.measure), render_dyadic(v.bound), v.depth)
         for v in verdicts
     ]
     _emit(args, ["m", "verdict", "measure", "bound", "depth"], rows)
@@ -297,7 +266,7 @@ def _cmd_mltest_validate(args) -> int:
 def _cmd_mltest_convert(args) -> int:
     conv = sense1_to_sense2(registered_tests()[args.test], args.depth)
     rows = (
-        {"n": n, "member": spell(b)}
+        (n, spell(b))
         for n in range(1, args.levels + 1)
         for b in _canonical(conv.enumerate(n, args.depth))
     )
@@ -309,7 +278,7 @@ def _cmd_mltest_universal(args) -> int:
     tests = registered_tests()
     battery = [sense1_to_sense2(tests[name], args.depth) for name in args.tests]
     cover = universal_test(battery, args.level, args.depth)
-    _emit(args, ["member"], [{"member": spell(b)} for b in _canonical(cover)])
+    _emit(args, ["member"], [(spell(b),) for b in _canonical(cover)])
     return 0
 
 
@@ -321,17 +290,8 @@ def _cmd_mltest_score(args) -> int:
         depth=args.depth,
     )
     verdicts = dict(report.verdicts)
-    rows = [
-        {"name": name, "level": level, "verdict": verdicts[name]}
-        for name, level in report.levels
-    ]
-    rows.append(
-        {
-            "name": "compression-deficiency",
-            "level": report.compression_deficiency,
-            "verdict": None,
-        }
-    )
+    rows = [(name, level, verdicts[name]) for name, level in report.levels]
+    rows.append(("compression-deficiency", report.compression_deficiency, None))
     _emit(args, ["name", "level", "verdict"], rows)
     return 0
 
@@ -341,7 +301,7 @@ def _cmd_mltest_bridge(args) -> int:
     # reporting only: the in-process registry is left untouched
     result = ml_to_kc_decoder(conv, args.n_max, args.depth, install=False)
     rows = [
-        {"codeword": codeword, "length": ell, "n": n, "target": spell(b)}
+        (codeword, ell, n, spell(b))
         for (codeword, _), (ell, n, b) in zip(result.decoder, result.triples)
     ]
     _emit(args, ["codeword", "length", "n", "target"], rows)

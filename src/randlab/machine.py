@@ -501,7 +501,7 @@ def install_code_table(table: dict[str, str]) -> None:
     by construction.  Re-installing the installed table keeps its universes.
     """
     global _REGISTRY
-    items = tuple(sorted((_check_bits(k), _check_bits(v)) for k, v in table.items()))
+    items = mapping_behavior(table).mapping
     if not is_prefix_free([k for k, _ in items]):
         raise ValueError("code table keys must form an antichain")
     if items != _REGISTRY.code_table:

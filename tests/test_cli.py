@@ -420,11 +420,21 @@ def test_json_reports_are_one_dumped_payload(capsys, argv):
 
 def test_json_rows_spell_as_one_dumped_payload():
     config = {"budget": 3, "stage": None}
-    odd = [{}, {"b": [1, [], {}], "a": "x\ny\u00e9"}, {"z": {"k": [2, {"m": None}]}}]
+    columns = ["i", "on", "b", "a", "z"]
+    odd = [([1, [], {}], "x\ny\u00e9", None), ({}, "", {"k": [2, {"m": None}]}), ([], 0, True)]
     for n in (0, 1, 3, 1023, 1024, 2049):  # batches of 1024 rows
-        rows = [{"i": i, "on": i % 2 == 0} | odd[i % 3] for i in range(n)] + odd[: n % 4]
-        expected = json.dumps({"config": config, "results": rows}, indent=2, sort_keys=True)
-        assert _report_text("json", config, [], iter(rows)) == expected + "\n"
+        rows = [(i, i % 2 == 0, *odd[i % 3]) for i in range(n)]
+        results = [dict(zip(columns, row)) for row in rows]
+        expected = json.dumps({"config": config, "results": results}, indent=2, sort_keys=True)
+        assert _report_text("json", config, columns, iter(rows)) == expected + "\n"
+
+
+@pytest.mark.parametrize("bad", [(1,), (1, 2, 3)], ids=["too-few", "too-many"])
+@pytest.mark.parametrize("before", [0, 1024, 1500])
+def test_json_row_with_a_wrong_cell_count_raises(bad, before):
+    rows = [(0, 0)] * before + [bad]
+    with pytest.raises(ValueError):
+        _report_text("json", {}, ["a", "b"], iter(rows))
 
 
 def test_json_rows_are_streamed_into_the_report(tmp_path):

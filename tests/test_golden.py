@@ -8,11 +8,13 @@ exit status (``mltest validate --test count101`` reports a failed level).
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import json
 
 import pytest
 
-from randlab.cli import main
+from randlab.cli import _cell, main
 from randlab.complexity import prefix_k
 from randlab.machine import clear_code_table, install_code_table
 
@@ -73,6 +75,26 @@ def test_horizon_without_report_exits_one(k, tmp_path) -> None:
     out = tmp_path / "report.txt"
     assert main(["complexity", "horizon", "--k", k, "--out", str(out)]) == 1
     assert not out.exists()
+
+
+TABLES = [(argv, code) for argv, code, _ in GOLDEN if argv[0] not in ("pfz", "kraft")]
+
+
+@pytest.mark.parametrize("argv, code", TABLES, ids=[" ".join(argv) for argv, _ in TABLES])
+def test_csv_and_json_reports_hold_the_same_cells(argv, code, tmp_path) -> None:
+    reports = {}
+    for fmt in ("csv", "json"):
+        out = tmp_path / f"report.{fmt}"
+        assert main(argv + ["--format", fmt, "--out", str(out)]) == code
+        reports[fmt] = out.read_text()
+    lines = [line for line in reports["csv"].splitlines() if not line.startswith("# ")]
+    header, *rows = csv.reader(lines)
+    results = json.loads(reports["json"])["results"]
+    assert rows and len(rows) == len(results)
+    for row, result in zip(rows, results):
+        assert len(row) == len(header)
+        assert sorted(result) == sorted(header)
+        assert row == [_cell(result[column]) for column in header]
 
 
 UNIVERSE_READERS = [
