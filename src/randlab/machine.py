@@ -56,7 +56,6 @@ import hashlib
 import json
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import count
 
 from .bitstr import _check_bits, _spell, index_to_string, string_to_index
@@ -130,18 +129,17 @@ def _decode_table(bits: str) -> tuple[tuple[int, int, int], ...] | None:
     return tuple(rows)
 
 
-@lru_cache(maxsize=None)
+DIVERGING = MachineBehavior(kind="decoded-table", table=None)
+_NATIVES = tuple(MachineBehavior("registry-native", registry_id=m) for m in range(REGISTRY_SIZE))
+
+
 def decode_machine(m: int) -> MachineBehavior:
     if m < 0:
         raise ValueError("machine index must be nonnegative")
     if m < REGISTRY_SIZE:
-        return MachineBehavior(kind="registry-native", registry_id=m)
-    return MachineBehavior(
-        kind="decoded-table", table=_decode_table(index_to_string(m - REGISTRY_SIZE))
-    )
-
-
-DIVERGING = MachineBehavior(kind="decoded-table", table=None)
+        return _NATIVES[m]
+    table = _decode_table(index_to_string(m - REGISTRY_SIZE))
+    return DIVERGING if table is None else MachineBehavior(kind="decoded-table", table=table)
 
 
 def mapping_behavior(table: dict[str, str]) -> MachineBehavior:
@@ -299,10 +297,8 @@ class _Context:
         if inner[0] == "h":
             out = index_to_string(len(inner[2])) + inner[2]
             status = ("h", inner[1] + len(out) + 1, out)
-        elif inner[0] == "d":
-            status = ("d",)
         else:
-            status = ("u", cap)
+            status = inner if inner[0] == "d" else ("u", cap)
         return _settle(self._machine, key, status, cap)
 
     def _pair_status(self, s: str, cap: int):
@@ -372,29 +368,23 @@ class _Context:
         return ("h", best[0], best[3]) if best[0] <= cap else ("u", cap)
 
     def _guard_walk(self, machine: MachineBehavior, b: str, cap: int):
-        best = None  # (d, j, comparable, output)
-        unresolved = False
+        # bound is the least finishing diagonal so far (cap + 1 before any
+        # halt); each comparable is probed at bound - 1 - j, so a halt there
+        # finishes below bound and wins, and a tie keeps the lower rank.  A
+        # "u" or the early stop only matters when nothing has won.
+        best, bound, unresolved = None, cap + 1, False
         for j, c in self._comparables(b):
-            if best is not None and j >= best[0] - 1:
-                break
-            probe = best[0] - 1 - j if best is not None else cap - j
-            if probe <= 0:
+            if j >= bound - 1:
                 unresolved = True
                 break
-            st = self.m_status(machine, c, probe)
+            st = self.m_status(machine, c, bound - 1 - j)
             if st[0] == "h":
-                d = j + st[1]
-                if best is None or d < best[0]:
-                    best = (d, j, c, st[2])
-            elif st[0] == "u" and best is None:
-                # halting cost exceeds cap - j, so it cannot finish at a
-                # diagonal <= cap; decidable only at a larger cap
+                best, bound = (c, st[2]), j + st[1]
+            elif st[0] == "u":
                 unresolved = True
         if best is None:
             return ("u", cap) if unresolved else ("d",)
-        if best[2] != b:
-            return ("d",)
-        return ("h", best[0], best[3])
+        return ("h", bound, best[1]) if best[0] == b else ("d",)
 
     # -- the two universal machines -----------------------------------------
 

@@ -371,6 +371,7 @@ def test_validate_formats_share_data(capsys, fmt):
         ("complexity", "pad", "--k", "-1"),
         ("mltest", "validate", "--test", "leading-zeros", "--levels", "-1"),
         ("mltest", "universal", "--level", "-2"),
+        ("mltest", "universal", "--tests", "nope"),
         ("mltest", "bridge", "--test", "leading-zeros", "--n-max", "-3"),
         ("omega", "--budget", "many"),
         ("kraft", "--lengths", "1,-2"),

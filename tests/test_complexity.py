@@ -358,6 +358,15 @@ def test_pad_witness_rejects_inconsistent_stream() -> None:
         pad_witness(flaky, 0)
 
 
+def test_negative_counts_and_short_prefixes_are_refused() -> None:
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        census_incompressible(-1)
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        pad_witness(zeros, -1)
+    with pytest.raises(ValueError, match="prefixes of the asked length"):
+        pad_witness(lambda n: zeros(n - 1), 0)
+
+
 # ---------------------------------------------------------------------------
 # horizons
 # ---------------------------------------------------------------------------

@@ -91,14 +91,15 @@ def table_index(bits: str) -> int:
 
 def test_decoded_one_state_machine_writes_and_halts() -> None:
     # every (state 0, symbol) row: halt (next state == state count 1),
-    # write 1, move right
-    row = "001" + "01" + "1"
-    machine = decode_machine(table_index("00" + row * 3))
-    assert machine.table is not None
-    for inp in ["", "0", "1", "0110"]:
-        out = run(machine, inp, 10)
-        assert out.halted and out.steps_used == 1
-        assert out.output == "1" + inp[1:]
+    # write, move right; a blank written over "" or "0" leaves an empty tape
+    for write, written in [("00", "0"), ("01", "1"), ("10", "")]:
+        row = "001" + write + "1"
+        machine = decode_machine(table_index("00" + row * 3))
+        assert machine.table is not None
+        for inp in ["", "0", "1", "0110"]:
+            out = run(machine, inp, 10)
+            assert out.halted and out.steps_used == 1
+            assert out.output == written + inp[1:]
 
 
 def test_decoded_sweeper_machine() -> None:
@@ -108,9 +109,10 @@ def test_decoded_sweeper_machine() -> None:
     on1 = "001" + "01" + "1"
     onb = "001" + "00" + "1"
     machine = decode_machine(table_index("00" + on0 + on1 + onb))
+    # asked first, so the simulation itself runs out of steps, not the memo
+    assert not run(machine, "00", 2).halted  # needs exactly 3 steps
     out = run(machine, "00", 10)
     assert (out.output, out.steps_used) == ("110", 3)
-    assert not run(machine, "00", 2).halted  # needs exactly 3 steps
 
 
 def test_malformed_field_values_reject_whole_table() -> None:
@@ -118,6 +120,20 @@ def test_malformed_field_values_reject_whole_table() -> None:
     assert decode_machine(table_index("00" + bad_write * 3)).table is None
     bad_state = "011" + "01" + "1"  # next state 3 > state count 1
     assert decode_machine(table_index("00" + bad_state * 3)).table is None
+
+
+def test_decoding_holds_no_memory() -> None:
+    # 20-bit encodings, most of them well-formed one-state tables, that the
+    # tests before this one leave undecoded; an unbounded cache on
+    # decode_machine kept all of them alive, 37.9 MiB here
+    tracemalloc.start()
+    try:
+        for m in range(table_index("0" * 20), table_index("0" * 20) + 200_000):
+            decode_machine(m)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert live < 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +264,11 @@ def test_guard_of_identity_halts_only_on_empty_string() -> None:
 
 
 def test_guard_of_singleton_mapping() -> None:
-    guarded = prefix_guard(mapping_behavior({"0": "1"}))
+    unguarded = mapping_behavior({"0": "1"})
+    assert astuple(run(unguarded, "0", 3)) == ("halted", "1", 3, 3)  # |in| + |out| + 1
+    assert not run(unguarded, "0", 2).halted
+    assert not run(unguarded, "00", BIG).halted
+    guarded = prefix_guard(unguarded)
     out = run(guarded, "0", 100)
     assert out.halted and out.output == "1"
     assert not run(guarded, "00", BIG).halted
@@ -724,18 +744,20 @@ def test_statuses_match_the_two_pass_engine(len_limit, code_table) -> None:
     assert_same_statuses(TwoPassContext, len_limit, code_table)
 
 
-@pytest.mark.parametrize("prefix,len_limit", [(False, 12), (True, 13)], ids=["plain", "prefix"])
-def test_cold_witness_tables_match_the_two_pass_engine(prefix, len_limit, monkeypatch) -> None:
-    engine = machine._Context
-
+def assert_same_cold_witness_table(oracle, prefix: bool, len_limit: int, monkeypatch) -> None:
     def cold_table(context):
         monkeypatch.setattr(machine, "_Context", context)
         with fresh_universes():
             return _witness_table(prefix, len_limit, BIG)
 
-    table, frontier = cold_table(engine)
-    assert (table, frontier) == cold_table(TwoPassContext)
+    table, frontier = cold_table(machine._Context)
+    assert (table, frontier) == cold_table(oracle)
     assert (len(table), frontier) == ((39, "11011011011") if prefix else (4735, None))
+
+
+@pytest.mark.parametrize("prefix,len_limit", [(False, 12), (True, 13)], ids=["plain", "prefix"])
+def test_cold_witness_tables_match_the_two_pass_engine(prefix, len_limit, monkeypatch) -> None:
+    assert_same_cold_witness_table(TwoPassContext, prefix, len_limit, monkeypatch)
 
 
 class CountingContext(machine._Context):
@@ -757,6 +779,53 @@ def test_cold_prefix_table_skips_the_splits_proven_dead(monkeypatch) -> None:
         prefix_k("", 13, BIG)
     (ctx,) = registry.contexts.values()
     assert 0 < ctx.v_calls <= 110_000
+
+
+# ---------------------------------------------------------------------------
+# the guard walk's running bound against the winner tuple it first kept
+# ---------------------------------------------------------------------------
+
+
+class BestTupleWalkContext(machine._Context):
+    """The guard walk as first written, kept as the oracle: it carried the
+    winner as a (d, j, comparable, output) tuple, picked each probe's cap by
+    whether anything had won yet, and compared every halt with the winner."""
+
+    def _guard_walk(self, machine, b: str, cap: int):
+        best = None  # (d, j, comparable, output)
+        unresolved = False
+        for j, c in self._comparables(b):
+            if best is not None and j >= best[0] - 1:
+                break
+            probe = best[0] - 1 - j if best is not None else cap - j
+            if probe <= 0:
+                unresolved = True
+                break
+            st = self.m_status(machine, c, probe)
+            if st[0] == "h":
+                d = j + st[1]
+                if best is None or d < best[0]:
+                    best = (d, j, c, st[2])
+            elif st[0] == "u" and best is None:
+                # halting cost exceeds cap - j, so it cannot finish at a
+                # diagonal <= cap; decidable only at a larger cap
+                unresolved = True
+        if best is None:
+            return ("u", cap) if unresolved else ("d",)
+        if best[2] != b:
+            return ("d",)
+        return ("h", best[0], best[3])
+
+
+@pytest.mark.parametrize("len_limit", [10, 13])
+@pytest.mark.parametrize("code_table", [(), CODE_TABLE], ids=["no-table", "table"])
+def test_statuses_match_the_best_tuple_walk(len_limit, code_table) -> None:
+    assert_same_statuses(BestTupleWalkContext, len_limit, code_table)
+
+
+@pytest.mark.parametrize("prefix,len_limit", [(False, 12), (True, 13)], ids=["plain", "prefix"])
+def test_cold_witness_tables_match_the_best_tuple_walk(prefix, len_limit, monkeypatch) -> None:
+    assert_same_cold_witness_table(BestTupleWalkContext, prefix, len_limit, monkeypatch)
 
 
 # ---------------------------------------------------------------------------

@@ -304,6 +304,41 @@ def test_kraft_code_examples() -> None:
     with pytest.raises(KraftOverflowError) as err:
         kraft_code([1, 1, 1])
     assert err.value.index == 2
+    # after "00" the pointer sits at 1/4; length 1 aligns it up to 1/2
+    assert kraft_code([2, 1]) == ["00", "1"]
+    # refused although 1/8 + 1/2 + 1/4 = 7/8 fits: "000" and "1" leave no
+    # aligned length-2 interval at or after the pointer
+    with pytest.raises(KraftOverflowError) as err:
+        kraft_code([3, 1, 2])
+    assert (err.value.index, err.value.length) == (2, 2)
+    with pytest.raises(ValueError, match="negative codeword length at index 1"):
+        kraft_code([1, -1])
+
+
+def leftmost_aligned_code(lengths: list[int]) -> tuple[list[str], int | None]:
+    """Oracle: the codewords of the leftmost aligned intervals, by Fraction
+    arithmetic, and the index that no longer fits below 1 (or None)."""
+    pointer, code = Fraction(0), []
+    for index, n in enumerate(lengths):
+        start = -(-pointer * 2**n // 1)  # ceil(pointer * 2^n)
+        if start + 1 > 2**n:
+            return code, index
+        code.append(format(start, "b").rjust(n, "0") if n else "")
+        pointer = Fraction(start + 1, 2**n)
+    return code, None
+
+
+@settings(derandomize=True, max_examples=400, database=None)
+@given(st.lists(st.integers(0, 10), max_size=40))
+def test_kraft_code_matches_the_leftmost_aligned_interval_model(lengths) -> None:
+    code, refused = leftmost_aligned_code(lengths)
+    if refused is None:
+        assert kraft_code(lengths) == code
+    else:
+        with pytest.raises(KraftOverflowError) as err:
+            kraft_code(lengths)
+        assert (err.value.index, err.value.length) == (refused, lengths[refused])
+        assert kraft_code(lengths[:refused]) == code
 
 
 def test_kraft_code_rejects_after_full_cover() -> None:
