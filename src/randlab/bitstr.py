@@ -109,7 +109,8 @@ class Dyadic:
         return self.num == other.num and self.scale == other.scale
 
     def __hash__(self) -> int:
-        return hash((self.num, self.scale))
+        # a whole number equals its int, so it must hash as one
+        return hash(self.num) if self.scale == 0 else hash((self.num, self.scale))
 
     def __bool__(self) -> bool:
         return self.num != 0

@@ -6,7 +6,10 @@ Machine enumeration is two-tier.  Indices 0..4 name hand-written registry
 behaviors, so that "there is a constant k" arguments turn into small
 concrete numbers; every larger index m decodes index_to_string(m - 5) as a
 fixed-width transition table (malformed encodings decode to the
-everywhere-diverging behavior, keeping the enumeration total).
+everywhere-diverging behavior, keeping the enumeration total).  The first
+well-formed table is machine 2^20 + 4, the 20 bits 0^20, so every U or V
+program shorter than 1,048,581 bits that dispatches past index 4 runs the
+everywhere-diverging machine.
 
     0  identity    halts at once, output = input
     1  pad         a -> B * U(a) where B is the |U(a)|-th string in
@@ -81,9 +84,9 @@ class MachineBehavior:
     """A total description of one machine.
 
     kind "registry-native" carries a registry_id, "decoded-table" carries
-    a transition table (None = everywhere diverging), "mapping" carries an
-    explicit finite graph, and "guarded" wraps another behavior in the
-    prefix guard.
+    a transition table (None = everywhere diverging), "mapping" carries a
+    finite graph as sorted (input, output) pairs, the code table's form,
+    and "guarded" wraps another behavior in the prefix guard.
     """
 
     kind: str
@@ -179,15 +182,24 @@ def _tm_status(table, inp: str, cap: int):
     return ("u", cap)
 
 
+def _finite_status(table: tuple[tuple[str, str], ...], inp: str, cap: int):
+    for c, out in table:
+        if c == inp:
+            cost = len(inp) + len(out) + 1
+            return ("h", cost, out) if cost <= cap else ("u", cap)
+    return ("d",)
+
+
 # ---------------------------------------------------------------------------
 # the budgeted status engine
 # ---------------------------------------------------------------------------
 # A status is ("h", cost, output) with cost <= the queried cap, ("d",) for a
 # proven permanent divergence, or ("u", cap) when neither is settled yet.
 # Statuses refine monotonically in cap.  Two memos per context hold them:
-# _machine for a machine on an input, _v for V on a program.  U on 1^n 0 a
-# is machine n on a plus n + 1 steps, read off _machine or O(|a|) afresh, and
-# the guard on b is V on 1^n 0 b less those steps, so neither needs a memo.
+# _machine for the pad and pair machines, _v for V.  A transition table is
+# simulated afresh, since a simulation never proves "d" and a memo would only
+# repeat it.  U on 1^n 0 a is machine n on a plus n + 1 steps, and the guard
+# on b is V on 1^n 0 b less those steps, so neither needs a memo.
 # Every recursive probe runs at a strictly smaller cap (dispatch; a pair half
 # once at the last round that fits, whose winning round is read off the
 # costs, and, when no split wins, at cap - 1 for only the splits that round
@@ -223,19 +235,19 @@ def _settle(memo: dict, key, status, cap: int):
 
 
 class _Context:
-    """The status memos _machine and _v for one (len_limit, installed code
-    table) pair; its first-witness tables: (prefix, budget) -> (output -> first
-    program, first program left unresolved at the budget or None); and its
-    dovetail replay: events in ordinal order, masses[k] = the first k events'
-    Kraft mass times 2^len_limit, and the pair (ordinal, diagonal, j) where the
-    replay stopped."""
+    """The status memos _machine (pad and pair) and _v (V) for one
+    (len_limit, installed code table) pair; its first-witness tables:
+    (prefix, budget) -> (output -> first program, first program left
+    unresolved at the budget or None); and its dovetail replay: events in
+    ordinal order, masses[k] = the first k events' Kraft mass times
+    2^len_limit, and the pair (ordinal, diagonal, j) where it stopped."""
 
     __slots__ = ("len_limit", "code_table", "tables", "events", "masses", "replay_at",
                  "_programs", "_machine", "_v")
 
     def __init__(self, len_limit: int, code_table: tuple[tuple[str, str], ...]):
         self.len_limit = len_limit
-        self.code_table = dict(code_table)
+        self.code_table = code_table
         self.tables: dict[tuple[bool, int], tuple[dict[str, str], str | None]] = {}
         self.events: list[DovetailEvent] = []
         self.masses = [0]
@@ -260,33 +272,19 @@ class _Context:
                 cost = len(inp) + 1
                 return ("h", cost, inp[n + 1 :]) if cost <= cap else ("u", cap)
             if rid == REG_CODE_TABLE:
-                return self._finite_status(self.code_table, inp, cap)
+                return _finite_status(self.code_table, inp, cap)
             if rid == REG_PAD:
                 return self._pad_status(inp, cap)
             if rid == REG_PAIR:
                 return self._pair_status(inp, cap)
             raise ValueError(f"unknown registry id {rid}")
         if kind == "decoded-table":
-            if machine.table is None:
-                return ("d",)
-            key = (machine.table, inp)
-            hit = _cached(self._machine, key, cap)
-            if hit is not None:
-                return hit
-            return _settle(self._machine, key, _tm_status(machine.table, inp, cap), cap)
+            return ("d",) if machine.table is None else _tm_status(machine.table, inp, cap)
         if kind == "mapping":
-            return self._finite_status(dict(machine.mapping), inp, cap)
+            return _finite_status(machine.mapping, inp, cap)
         if kind == "guarded":
             return self.guard_status(machine.inner, inp, cap)
         raise ValueError(f"unknown behavior kind {kind!r}")
-
-    @staticmethod
-    def _finite_status(table: dict[str, str], inp: str, cap: int):
-        out = table.get(inp)
-        if out is None:
-            return ("d",)
-        cost = len(inp) + len(out) + 1
-        return ("h", cost, out) if cost <= cap else ("u", cap)
 
     def _pad_status(self, inp: str, cap: int):
         key = ("pad", inp)
@@ -348,15 +346,15 @@ class _Context:
         if machine.kind == "decoded-table" and machine.table is None:
             return ("d",)
         if machine.kind == "mapping":
-            return self._guard_finite(dict(machine.mapping), b, cap)
+            return self._guard_finite(machine.mapping, b, cap)
         if machine.kind == "registry-native" and machine.registry_id == REG_CODE_TABLE:
             return self._guard_finite(self.code_table, b, cap)
         return self._guard_walk(machine, b, cap)
 
-    def _guard_finite(self, table: dict[str, str], b: str, cap: int):
+    def _guard_finite(self, table: tuple[tuple[str, str], ...], b: str, cap: int):
         # the domain is known outright, so the dovetail winner is exact
         best = None
-        for c, out in table.items():
+        for c, out in table:
             if not (b.startswith(c) or (c.startswith(b) and len(c) <= self.len_limit)):
                 continue
             j = string_to_index(c)

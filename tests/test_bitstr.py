@@ -174,10 +174,19 @@ def test_dyadic_properties_against_fraction(a, b, k) -> None:
     assert (a < k, a <= k, a > k, a >= k, a == k) == (fa < k, fa <= k, fa > k, fa >= k, fa == k)
     if fa == fb:
         assert (a.num, a.scale, hash(a)) == (b.num, b.scale, hash(b))
+    if a == k:
+        assert hash(a) == hash(k)
     assert bool(a) == bool(fa)
     # canonical form: an odd numerator, or a whole number over 2^0
     assert a.num % 2 == 1 or a.scale == 0
     assert parse_dyadic(str(a)) == a
+
+
+def test_whole_dyadics_are_found_as_their_ints() -> None:
+    # equal to an int, so a set or dict holding that int must find it
+    assert Dyadic(3) == 3 and Dyadic(3) in {3}
+    assert {3: "x"}.get(Dyadic(3)) == "x"
+    assert Dyadic(6, 1) in {3} and Dyadic(0, 9) in {0}
 
 
 def test_dyadic_rejects_negatives() -> None:

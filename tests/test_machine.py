@@ -39,6 +39,7 @@ from randlab.machine import (
     universal_run,
     universal_status,
 )
+from randlab.mltest import ml_to_kc_decoder, registered_tests, sense1_to_sense2
 from randlab.prefixfree import is_prefix_free
 
 BIG = 100_000
@@ -83,10 +84,24 @@ def test_short_encodings_are_all_malformed() -> None:
         assert decode_machine(m).table is None
     run_out = run(decode_machine(REGISTRY_SIZE), "0101", 10_000)
     assert not run_out.halted
+    # so U and V programs, 1^m 0 a, reach a table only from 2^20 + 5 bits on
+    assert decode_machine(2**20 + 3) is DIVERGING  # the 19 bits 1^19
+    assert decode_machine(2**20 + 4).table == ((0, 0, -1),) * 3  # the 20 bits 0^20
 
 
 def table_index(bits: str) -> int:
     return REGISTRY_SIZE + string_to_index(bits)
+
+
+def test_a_table_decodes_only_at_its_own_length() -> None:
+    # 2 bits of state count s - 1, then 18 bits per state: lengths 20, 38,
+    # 56 and 74, whatever fields fill them ("000000" is always well formed)
+    for count_bits in ("00", "01", "10", "11"):
+        states = int(count_bits, 2) + 1
+        for length in range(2, 81):
+            bits = count_bits + "0" * (length - 2)
+            decoded = decode_machine(table_index(bits)).table is not None
+            assert decoded == (length == 2 + 18 * states), bits
 
 
 def test_decoded_one_state_machine_writes_and_halts() -> None:
@@ -113,6 +128,18 @@ def test_decoded_sweeper_machine() -> None:
     assert not run(machine, "00", 2).halted  # needs exactly 3 steps
     out = run(machine, "00", 10)
     assert (out.output, out.steps_used) == ("110", 3)
+
+
+def test_decoded_tables_are_simulated_afresh() -> None:
+    # a simulation never proves "d", so _machine keeps only pad and pair
+    sweeper = decode_machine(table_index("00" + "000011" + "001011" + "001001"))
+    with fresh_universes() as registry:
+        for cap in (10, 2, 1000, 3, 0):
+            assert not run(decode_machine(2**20 + 4), "0101", cap).halted
+            assert run(sweeper, "00", cap).halted == (cap >= 3)
+        run(decode_machine(1), "011", 20)  # pad, which does keep a memo
+        (ctx,) = registry.contexts.values()
+    assert {key[0] for key in ctx._machine} == {"pad"}
 
 
 def test_malformed_field_values_reject_whole_table() -> None:
@@ -587,7 +614,7 @@ class FourMemoContext(machine._Context):
         if behavior.kind == "mapping":
             finite = dict(behavior.mapping)
         elif behavior.kind == "registry-native" and behavior.registry_id == machine.REG_CODE_TABLE:
-            finite = self.code_table
+            finite = dict(self.code_table)
         if finite is not None:
             status = self._unclipped_guard_finite(finite, b)
         else:
@@ -695,7 +722,7 @@ def test_cold_witness_tables_fit_two_memos() -> None:
 def test_engine_keeps_two_status_memos() -> None:
     ctx = machine._Context(8, ())
     assert [slot for slot in ctx.__slots__ if isinstance(getattr(ctx, slot), dict)] == [
-        "code_table", "tables", "_machine", "_v"
+        "tables", "_machine", "_v"
     ]
 
 
@@ -826,6 +853,63 @@ def test_statuses_match_the_best_tuple_walk(len_limit, code_table) -> None:
 @pytest.mark.parametrize("prefix,len_limit", [(False, 12), (True, 13)], ids=["plain", "prefix"])
 def test_cold_witness_tables_match_the_best_tuple_walk(prefix, len_limit, monkeypatch) -> None:
     assert_same_cold_witness_table(BestTupleWalkContext, prefix, len_limit, monkeypatch)
+
+
+# the programs left unresolved at budget BIG by the cold prefix table at 12
+FRONTIER_12 = ("11011011011", "110011011011", "110110110110")
+
+
+@pytest.mark.parametrize("prog", FRONTIER_12)
+def test_frontier_statuses_match_the_best_tuple_walk(prog) -> None:
+    # a guard walk on these programs meets a comparable still "u" with no
+    # halt before it, so that "u", and not a "d", decides the result from
+    # cap 6,765 or 10,946 on; asked in a fresh context per query, and rising
+    # and falling in one context
+    def engines():
+        return machine._Context(12, ()), BestTupleWalkContext(12, ())
+
+    def ask(pair, cap):
+        new, old = (ctx.v_status(prog, cap) for ctx in pair)
+        assert new == old, cap
+        return new
+
+    assert [ask(engines(), cap) for cap in MEMO_CAPS][-1] == ("u", BIG)
+    rising, falling = engines(), engines()
+    for cap in MEMO_CAPS:
+        ask(rising, cap)
+    for cap in reversed(MEMO_CAPS):
+        ask(falling, cap)
+
+
+# ---------------------------------------------------------------------------
+# one form for every finite map: the installed table and mapping behaviors
+# ---------------------------------------------------------------------------
+
+
+def leading_zeros_decoder() -> dict[str, str]:
+    source = sense1_to_sense2(registered_tests()["leading-zeros"], 8)
+    return dict(ml_to_kc_decoder(source, 2, 8, install=False).decoder)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [lambda: dict(CODE_TABLE), lambda: {"000000": "1", "10": ""}, leading_zeros_decoder],
+    ids=["code-table", "deep-key", "leading-zeros"],
+)
+@pytest.mark.parametrize("len_limit", [8, 13])
+def test_the_code_table_runs_as_its_mapping_behavior(table, len_limit) -> None:
+    table = table()
+    install_code_table(table)
+    mapping = mapping_behavior(table)
+    halted = 0
+    for wrap in (lambda behavior: behavior, prefix_guard):
+        installed, listed = wrap(decode_machine(machine.REG_CODE_TABLE)), wrap(mapping)
+        for a in all_strings(8):
+            for cap in pair_caps(a):
+                out = run(installed, a, cap, len_limit)
+                assert out == run(listed, a, cap, len_limit), (a, cap)
+                halted += out.halted
+    assert halted > 0
 
 
 # ---------------------------------------------------------------------------
