@@ -397,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--k", type=_count_arg, required=True)
     q.set_defaults(handler=_cmd_complexity_pad, len_limit=PAD_SCAN_LIMIT)
     q = csub.add_parser("horizon", parents=[_common_flags()], help="compressible-prefix horizon")
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--k", type=_count_arg, required=True)
     q.add_argument("--max-m", dest="max_m", type=_count_arg, default=6)
     q.set_defaults(handler=_cmd_complexity_horizon)
     q = csub.add_parser("subadd", parents=[_common_flags()], help="pairing constants and gaps")

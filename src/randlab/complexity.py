@@ -254,6 +254,8 @@ def horizon_search(
     reveal more compressible prefixes and hence shrink the horizon, never
     grow it.
     """
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     compressible = _compressible(False, k, m_max, len_limit, budget)
     for m in range(m_max + 1):
         # a prefix shorter than m contains or misses each length-m cylinder,

@@ -207,7 +207,11 @@ def _finite_status(table: tuple[tuple[str, str], ...], inp: str, cap: int):
 # terminates.  A proven divergence carries no cap: a memoized ("d",) answers
 # every cap, so a split with a "d" half is dead for good, and a warm context
 # may say ("d",) where a fresh one at a smaller cap still says ("u", cap).
-# Both are true.
+# Both are true.  Most probes meet such a ("d",), so the pair split loop and
+# the guard walk over pad or pair read it from the memo instead of calling:
+# a dead probe never wins a split or a walk and never leaves one open, so
+# skipping it saves the call and nothing else.  Every other probe is a call
+# through the memo rule below.
 
 
 def _cached(memo: dict, key, cap: int):
@@ -310,9 +314,16 @@ class _Context:
         top = 1 << (room.bit_length() - 1) if room > 0 else 0
         wins = []
         open_splits = [] if top else range(len(s) + 1)  # no half proven "d"
+        v = self._v
         for i in range(len(s) + 1 if top else 0):
-            left = self.v_status(s[:i], top)
-            right = self.v_status(s[i:], top) if left[0] == "h" else left
+            left = v.get(s[:i])
+            if left != ("d",):
+                left = self.v_status(s[:i], top)
+            right = left
+            if left[0] == "h":
+                right = v.get(s[i:])
+                if right != ("d",):
+                    right = self.v_status(s[i:], top)
             if right[0] == "h":
                 t = 1 << (max(left[1], right[1], 1) - 1).bit_length()
                 wins.append((t, i, left[2] + right[2]))
@@ -370,11 +381,14 @@ class _Context:
         # halt); each comparable is probed at bound - 1 - j, so a halt there
         # finishes below bound and wins, and a tie keeps the lower rank.  A
         # "u" or the early stop only matters when nothing has won.
+        tag = {REG_PAD: "pad", REG_PAIR: "pair"}.get(machine.registry_id)
         best, bound, unresolved = None, cap + 1, False
         for j, c in self._comparables(b):
             if j >= bound - 1:
                 unresolved = True
                 break
+            if tag and self._machine.get((tag, c)) == ("d",):
+                continue
             st = self.m_status(machine, c, bound - 1 - j)
             if st[0] == "h":
                 best, bound = (c, st[2]), j + st[1]

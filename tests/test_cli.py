@@ -198,6 +198,16 @@ def test_complexity_horizon_exhaustion(capsys):
     assert code == 1 and "no horizon" in err
 
 
+def test_complexity_horizon_report(capsys, monkeypatch):
+    # no margin k >= 0 has a horizon at limits a test can reach, so the
+    # search is stubbed to reach the report; its values are tested against
+    # a scanning oracle in tests/test_complexity.py
+    monkeypatch.setattr(randlab.cli, "horizon_search", lambda k, m_max, len_limit, budget: 2)
+    code, out, err = run(capsys, "complexity", "horizon", "--k", "0", "--max-m", "4")
+    assert (code, err) == (0, "")
+    assert split_report(out)[1:] == ("k,m", ["0,2"])
+
+
 def test_complexity_subadd(capsys):
     code, out, _ = run(capsys, "complexity", "subadd", "--max-n", "1")
     _, header, rows = split_report(out)
@@ -377,6 +387,7 @@ def test_validate_formats_share_data(capsys, fmt):
         ("kraft", "--lengths", "1,-2"),
         ("kraft", "--lengths", "1,x"),
         ("kraft", "--lengths", "2,,1.5"),
+        ("complexity", "horizon", "--max-m", "3", "--k", "-1"),
     ],
 )
 def test_negative_or_malformed_counts_are_usage_errors(capsys, argv):

@@ -788,24 +788,38 @@ def test_cold_witness_tables_match_the_two_pass_engine(prefix, len_limit, monkey
 
 
 class CountingContext(machine._Context):
-    """Counts the V queries made through it, recursive ones included."""
+    """Counts the V queries, pair evaluations and guard walks made through
+    it, recursive ones included."""
 
     def __init__(self, len_limit: int, code_table):
         super().__init__(len_limit, code_table)
-        self.v_calls = 0
+        self.v_calls = self.pair_calls = self.walks = 0
 
     def v_status(self, prog: str, cap: int):
         self.v_calls += 1
         return super().v_status(prog, cap)
 
+    def _pair_status(self, s: str, cap: int):
+        self.pair_calls += 1
+        return super()._pair_status(s, cap)
+
+    def _guard_walk(self, machine, b: str, cap: int):
+        self.walks += 1
+        return super()._guard_walk(machine, b, cap)
+
 
 def test_cold_prefix_table_skips_the_splits_proven_dead(monkeypatch) -> None:
-    # 174,290 V queries when the divergence pass asked every split again
+    # 174,290 V queries when the divergence pass asked every split again, and
+    # 99,308 V queries and 66,237 pair evaluations when the split loop and
+    # the guard walk called for every probe (CallEveryProbeContext below);
+    # reading a memoized ("d",) saves calls, not guard walks
     monkeypatch.setattr(machine, "_Context", CountingContext)
     with fresh_universes() as registry:
         prefix_k("", 13, BIG)
     (ctx,) = registry.contexts.values()
-    assert 0 < ctx.v_calls <= 110_000
+    assert 0 < ctx.v_calls <= 35_000
+    assert 0 < ctx.pair_calls <= 12_000
+    assert ctx.walks == 18_059
 
 
 # ---------------------------------------------------------------------------
@@ -878,6 +892,110 @@ def test_frontier_statuses_match_the_best_tuple_walk(prog) -> None:
     for cap in MEMO_CAPS:
         ask(rising, cap)
     for cap in reversed(MEMO_CAPS):
+        ask(falling, cap)
+
+
+# ---------------------------------------------------------------------------
+# the probe loops' memo reads against the engine that called for every probe
+# ---------------------------------------------------------------------------
+
+
+class CallEveryProbeContext(machine._Context):
+    """The pair split loop and the guard walk before they read a memoized
+    ("d",) themselves, kept as the oracle: every probe is a call."""
+
+    def _pair_status(self, s: str, cap: int):
+        key = ("pair", s)
+        hit = machine._cached(self._machine, key, cap)
+        if hit is not None:
+            return hit
+        # a halting cost is cap-free, so ask each half once, at the last round
+        base = len(s) + 1
+        room = (cap - base) // 2  # rounds t <= room fit under the cap
+        top = 1 << (room.bit_length() - 1) if room > 0 else 0
+        wins = []
+        open_splits = [] if top else range(len(s) + 1)  # no half proven "d"
+        for i in range(len(s) + 1 if top else 0):
+            left = self.v_status(s[:i], top)
+            right = self.v_status(s[i:], top) if left[0] == "h" else left
+            if right[0] == "h":
+                t = 1 << (max(left[1], right[1], 1) - 1).bit_length()
+                wins.append((t, i, left[2] + right[2]))
+            elif right[0] == "u":
+                open_splits.append(i)
+        if wins:
+            t, i, out = min(wins)
+            status = ("h", 2 * t + i + base, out)
+        elif cap >= 2 and all(
+            self.v_status(s[:i], cap - 1)[0] == "d"
+            or self.v_status(s[i:], cap - 1)[0] == "d"
+            for i in open_splits
+        ):
+            status = ("d",)
+        else:
+            status = ("u", cap)
+        return machine._settle(self._machine, key, status, cap)
+
+    def _guard_walk(self, machine, b: str, cap: int):
+        # bound is the least finishing diagonal so far (cap + 1 before any
+        # halt); each comparable is probed at bound - 1 - j, so a halt there
+        # finishes below bound and wins, and a tie keeps the lower rank.  A
+        # "u" or the early stop only matters when nothing has won.
+        best, bound, unresolved = None, cap + 1, False
+        for j, c in self._comparables(b):
+            if j >= bound - 1:
+                unresolved = True
+                break
+            st = self.m_status(machine, c, bound - 1 - j)
+            if st[0] == "h":
+                best, bound = (c, st[2]), j + st[1]
+            elif st[0] == "u":
+                unresolved = True
+        if best is None:
+            return ("u", cap) if unresolved else ("d",)
+        return ("h", bound, best[1]) if best[0] == b else ("d",)
+
+
+@pytest.mark.parametrize("len_limit", [10, 13])
+@pytest.mark.parametrize("code_table", [(), CODE_TABLE], ids=["no-table", "table"])
+def test_statuses_match_the_call_every_probe_engine(len_limit, code_table) -> None:
+    assert_same_statuses(CallEveryProbeContext, len_limit, code_table)
+
+
+@pytest.mark.parametrize("prefix,len_limit", [(False, 12), (True, 13)], ids=["plain", "prefix"])
+def test_cold_witness_tables_match_the_call_every_probe_engine(
+    prefix, len_limit, monkeypatch
+) -> None:
+    assert_same_cold_witness_table(CallEveryProbeContext, prefix, len_limit, monkeypatch)
+
+
+# the programs left unresolved at budget BIG by the cold prefix table at 13
+FRONTIER_13 = (
+    "11011011011", "110011011011", "110110011011", "110110110011", "110110110110",
+    "1100110011011", "1100110110011", "1100110110110", "1101100110110",
+    "1101101100110", "1101101101100", "1101101101101",
+)
+FRONTIER_CAPS = fibonacci_caps(10_946)  # 0, 1, 2, 3, 5, 8, ..., 6765, 10946
+
+
+@pytest.mark.parametrize("prog", FRONTIER_13)
+def test_frontier_statuses_match_the_call_every_probe_engine(prog) -> None:
+    # the guard walks on these programs probe pair and pad comparables whose
+    # memos fill as the caps rise; asked in a fresh context per query, and
+    # rising and falling in one context
+    def engines():
+        return machine._Context(13, ()), CallEveryProbeContext(13, ())
+
+    def ask(pair, cap):
+        new, old = (ctx.v_status(prog, cap) for ctx in pair)
+        assert new == old, cap
+        return new
+
+    assert [ask(engines(), cap) for cap in FRONTIER_CAPS][-1] == ("u", 10_946)
+    rising, falling = engines(), engines()
+    for cap in FRONTIER_CAPS:
+        ask(rising, cap)
+    for cap in reversed(FRONTIER_CAPS):
         ask(falling, cap)
 
 
