@@ -2,7 +2,9 @@
 
 Every report embeds the full run configuration (budget, length limit, depth,
 stage, registry fingerprint), so identical invocations produce byte-identical
-output.  CSV reports start with ``# key=value`` configuration comments and
+output.  A report subcommand takes only the universe flags its computation
+reads; the header still names the whole universe, each unread value at its
+default.  CSV reports start with ``# key=value`` configuration comments and
 use LF line endings; JSON reports are a single object with ``config`` and
 ``results`` keys, sorted.  Bitstrings are ASCII ``0``/``1`` with the empty
 string spelled ``-`` on the command line, in files, and in report cells.
@@ -12,7 +14,8 @@ columns are annotations (dyadic decimals terminate, so they are exact too).
 Exit status: 0 on success, 1 on domain errors, definite failures (Kraft
 overflow, bridge mass violations, failed test levels, exhausted searches)
 and unreadable or unwritable files, 2 on usage errors (including negative
-budgets, stages, depths, limits, counts and codeword lengths).
+budgets, stages, depths, limits, counts and codeword lengths, and universe
+flags the subcommand does not read).
 """
 
 from __future__ import annotations
@@ -56,6 +59,15 @@ from .omega import _stage_replay, psi_reconstruct
 from .prefixfree import cover_measure, is_prefix_free, kraft_code, kraft_sum, prefix_freeize
 
 DEFAULT_STAGE = 4096
+
+# the universe every report header names, at its defaults
+_UNIVERSE = {
+    "budget": DEFAULT_BUDGET,
+    "len_limit": DEFAULT_LEN_LIMIT,
+    "depth": DEFAULT_DEPTH,
+    "stage": DEFAULT_STAGE,
+}
+_KC = ("budget", "len_limit")  # what the budgeted complexity searches read
 
 STREAMS = {
     "zeros": lambda n: "0" * n,
@@ -117,13 +129,8 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _emit(args, columns: list[str], rows: Iterable[tuple]) -> None:
-    config = {
-        "budget": args.budget,
-        "len_limit": args.len_limit,
-        "depth": args.depth,
-        "stage": args.stage,
-        "registry_fingerprint": registry_fingerprint(),
-    }
+    config = {key: getattr(args, key) for key in _UNIVERSE}
+    config["registry_fingerprint"] = registry_fingerprint()
     _write(_report_text(args.format, config, columns, rows), args.out)
 
 
@@ -343,19 +350,19 @@ def _test_names_arg(text: str) -> list[str]:
     return names
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=_count_arg, default=DEFAULT_BUDGET)
-    common.add_argument("--len-limit", dest="len_limit", type=_count_arg, default=DEFAULT_LEN_LIMIT)
-    common.add_argument("--depth", type=_count_arg, default=DEFAULT_DEPTH)
-    common.add_argument("--stage", type=_count_arg, default=DEFAULT_STAGE)
-    common.add_argument("--out", default=None)
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    return common
+def _report(sub, name: str, handler, help: str, reads=(), **defaults) -> argparse.ArgumentParser:
+    """A report subcommand: it takes only the universe flags in `reads`, yet
+    its header names the whole universe, unread values at their defaults."""
+    p = sub.add_parser(name, help=help)
+    for key in reads:
+        p.add_argument("--" + key.replace("_", "-"), type=_count_arg)
+    p.add_argument("--out", default=None)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(handler=handler, **{**_UNIVERSE, **defaults})
+    return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # a fresh parent per subparser: set_defaults mutates shared action objects
     test_names = sorted(registered_tests())
     parser = argparse.ArgumentParser(
         prog="randlab",
@@ -364,9 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("enum", parents=[_common_flags()], help="length-lex enumeration rows")
+    p = _report(sub, "enum", _cmd_enum, "length-lex enumeration rows")
     p.add_argument("--count", type=_count_arg, required=True)
-    p.set_defaults(handler=_cmd_enum)
 
     p = sub.add_parser("pfz", help="reduce a set to its covering antichain")
     p.add_argument("strings", nargs="*", type=_bits_arg)
@@ -379,60 +385,50 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_kraft)
 
-    p = sub.add_parser("measure", parents=[_common_flags()], help="exact mass of a string set")
+    p = _report(sub, "measure", _cmd_measure, "exact mass of a string set")
     p.add_argument("strings", nargs="*", type=_bits_arg)
     p.add_argument("--in", dest="in_file", default=None)
-    p.set_defaults(handler=_cmd_measure)
 
     p = sub.add_parser("complexity", help="budgeted complexity reports")
     csub = p.add_subparsers(dest="subcommand", required=True)
-    q = csub.add_parser("scan", parents=[_common_flags()], help="C_t/K_t bounds for short strings")
+    q = _report(csub, "scan", _cmd_complexity_scan, "C_t/K_t bounds for short strings", _KC)
     q.add_argument("--max-len", dest="max_len", type=_count_arg, default=4)
-    q.set_defaults(handler=_cmd_complexity_scan)
-    q = csub.add_parser("census", parents=[_common_flags()], help="incompressible string counts")
+    q = _report(csub, "census", _cmd_complexity_census, "incompressible string counts", _KC)
     q.add_argument("--max-n", dest="max_n", type=_count_arg, default=8)
-    q.set_defaults(handler=_cmd_complexity_census)
-    q = csub.add_parser("pad", parents=[_common_flags()], help="pad-compressed stream prefixes")
+    q = _report(csub, "pad", _cmd_complexity_pad, "pad-compressed stream prefixes", _KC,
+                len_limit=PAD_SCAN_LIMIT)
     q.add_argument("--stream", choices=sorted(STREAMS), default="zeros")
     q.add_argument("--k", type=_count_arg, required=True)
-    q.set_defaults(handler=_cmd_complexity_pad, len_limit=PAD_SCAN_LIMIT)
-    q = csub.add_parser("horizon", parents=[_common_flags()], help="compressible-prefix horizon")
+    q = _report(csub, "horizon", _cmd_complexity_horizon, "compressible-prefix horizon", _KC)
     q.add_argument("--k", type=_count_arg, required=True)
     q.add_argument("--max-m", dest="max_m", type=_count_arg, default=6)
-    q.set_defaults(handler=_cmd_complexity_horizon)
-    q = csub.add_parser("subadd", parents=[_common_flags()], help="pairing constants and gaps")
+    q = _report(csub, "subadd", _cmd_complexity_subadd, "pairing constants and gaps", _KC)
     q.add_argument("--max-n", dest="max_n", type=_count_arg, default=3)
-    q.set_defaults(handler=_cmd_complexity_subadd)
 
-    p = sub.add_parser("omega", parents=[_common_flags()], help="halting-mass lower bounds")
+    p = _report(sub, "omega", _cmd_omega, "halting-mass lower bounds", ("len_limit", "stage"))
     p.add_argument("--until-mass", dest="until_mass", type=_bits_arg, default=None)
-    p.set_defaults(handler=_cmd_omega)
 
     p = sub.add_parser("mltest", help="Martin-Löf test reports")
     msub = p.add_subparsers(dest="subcommand", required=True)
-    q = msub.add_parser("validate", parents=[_common_flags()], help="per-level measure verdicts")
+    q = _report(msub, "validate", _cmd_mltest_validate, "per-level measure verdicts", ("depth",))
     q.add_argument("--test", choices=test_names, required=True)
     q.add_argument("--levels", type=_count_arg, default=3)
-    q.set_defaults(handler=_cmd_mltest_validate)
-    q = msub.add_parser("convert", parents=[_common_flags()], help="materialized sense-2 levels")
+    q = _report(msub, "convert", _cmd_mltest_convert, "materialized sense-2 levels", ("depth",))
     q.add_argument("--test", choices=test_names, required=True)
     q.add_argument("--levels", type=_count_arg, default=3)
-    q.set_defaults(handler=_cmd_mltest_convert)
-    q = msub.add_parser("universal", parents=[_common_flags()], help="battery-universal cover")
+    q = _report(msub, "universal", _cmd_mltest_universal, "battery-universal cover", ("depth",))
     q.add_argument("--level", type=_count_arg, default=1)
     q.add_argument(
         "--tests",
         type=_test_names_arg,
         default=[t.name for t in builtin_tests()],
     )
-    q.set_defaults(handler=_cmd_mltest_universal)
-    q = msub.add_parser("score", parents=[_common_flags()], help="levels and deficiency of a subject")
+    q = _report(msub, "score", _cmd_mltest_score, "levels and deficiency of a subject",
+                (*_KC, "depth"), len_limit=DEFAULT_K_LEN_LIMIT)
     q.add_argument("--subject", type=_bits_arg, required=True)
-    q.set_defaults(handler=_cmd_mltest_score, len_limit=DEFAULT_K_LEN_LIMIT)
-    q = msub.add_parser("bridge", parents=[_common_flags()], help="Kraft decoder for test slices")
+    q = _report(msub, "bridge", _cmd_mltest_bridge, "Kraft decoder for test slices", ("depth",))
     q.add_argument("--test", choices=test_names, required=True)
     q.add_argument("--n-max", dest="n_max", type=_count_arg, default=2)
-    q.set_defaults(handler=_cmd_mltest_bridge)
 
     return parser
 

@@ -207,8 +207,9 @@ def _finite_status(table: tuple[tuple[str, str], ...], inp: str, cap: int):
 # terminates.  A proven divergence carries no cap: a memoized ("d",) answers
 # every cap, so a split with a "d" half is dead for good, and a warm context
 # may say ("d",) where a fresh one at a smaller cap still says ("u", cap).
-# Both are true.  Most probes meet such a ("d",), so the pair split loop and
-# the guard walk over pad or pair read it from the memo instead of calling:
+# Both are true.  Most probes meet such a ("d",), so the pair split loop, its
+# cap - 1 divergence pass and the guard walk over pad or pair read it from the
+# memo instead of calling:
 # a dead probe never wins a split or a walk and never leaves one open, so
 # skipping it saves the call and nothing else.  Every other probe is a call
 # through the memo rule below.
@@ -333,7 +334,9 @@ class _Context:
             t, i, out = min(wins)
             status = ("h", 2 * t + i + base, out)
         elif cap >= 2 and all(
-            self.v_status(s[:i], cap - 1)[0] == "d"
+            v.get(s[:i]) == ("d",)
+            or self.v_status(s[:i], cap - 1)[0] == "d"
+            or v.get(s[i:]) == ("d",)
             or self.v_status(s[i:], cap - 1)[0] == "d"
             for i in open_splits
         ):

@@ -1,8 +1,10 @@
 """Shared test helpers: every test starts and ends with no code table
-installed, and `fresh_universes` runs a body against cold universes."""
+installed, `fresh_universes` runs a body against cold universes, and
+`universe_flags` reads the universe flags each CLI subcommand takes."""
 
 from __future__ import annotations
 
+import argparse
 from contextlib import contextmanager
 
 import pytest
@@ -29,3 +31,18 @@ def fresh_universes(registry=None):
         yield machine._REGISTRY
     finally:
         machine._REGISTRY = saved
+
+
+UNIVERSE_FLAGS = ("--budget", "--len-limit", "--depth", "--stage")
+
+
+def universe_flags(parser: argparse.ArgumentParser, path=()):
+    """Yield (subcommand, the universe flags it takes) for every leaf
+    subcommand of `parser`, the subcommand spelled as on the command line."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        taken = {option for action in parser._actions for option in action.option_strings}
+        yield " ".join(path), taken & set(UNIVERSE_FLAGS)
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from universe_flags(child, (*path, name))

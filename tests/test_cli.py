@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -13,8 +14,9 @@ from pathlib import Path
 import pytest
 
 import randlab
+from conftest import UNIVERSE_FLAGS, universe_flags
 from randlab.bitstr import Dyadic, parse_dyadic
-from randlab.cli import _report_text, main, unspell
+from randlab.cli import _build_parser, _report_text, main, unspell
 from randlab.machine import current_code_table
 from randlab.prefixfree import cover_measure, kraft_sum
 
@@ -369,7 +371,7 @@ def test_validate_formats_share_data(capsys, fmt):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("omega", "--budget", "-5"),
+        ("complexity", "census", "--budget", "-5"),
         ("omega", "--stage", "-4"),
         ("mltest", "score", "--subject", "01", "--depth", "-1"),
         ("complexity", "scan", "--len-limit", "-1"),
@@ -383,7 +385,7 @@ def test_validate_formats_share_data(capsys, fmt):
         ("mltest", "universal", "--level", "-2"),
         ("mltest", "universal", "--tests", "nope"),
         ("mltest", "bridge", "--test", "leading-zeros", "--n-max", "-3"),
-        ("omega", "--budget", "many"),
+        ("complexity", "census", "--budget", "many"),
         ("kraft", "--lengths", "1,-2"),
         ("kraft", "--lengths", "1,x"),
         ("kraft", "--lengths", "2,,1.5"),
@@ -394,6 +396,58 @@ def test_negative_or_malformed_counts_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert f"argument {argv[-2]}:" in err
+
+
+# ---------------------------------------------------------------------------
+# universe flags: a report subcommand takes only those its computation reads
+# ---------------------------------------------------------------------------
+
+DEFAULTS = {"budget": "100000", "len_limit": "12", "depth": "15", "stage": "4096"}
+
+# each report subcommand: a cheap valid invocation, and the universe flags it
+# reads, each with a value off its default
+READS = {
+    "enum": (["--count", "1"], {}),
+    "measure": ([], {}),
+    "complexity scan": (["--max-len", "0"], {"--budget": "3", "--len-limit": "2"}),
+    "complexity census": (["--max-n", "0"], {"--budget": "3", "--len-limit": "2"}),
+    "complexity pad": (["--k", "0"], {"--budget": "60", "--len-limit": "18"}),
+    "complexity horizon": (["--k", "0", "--max-m", "1"], {"--budget": "3", "--len-limit": "2"}),
+    "complexity subadd": (["--max-n", "0"], {"--budget": "3", "--len-limit": "2"}),
+    "omega": ([], {"--len-limit": "2", "--stage": "5"}),
+    "mltest validate": (["--test", "even-ones", "--levels", "1"], {"--depth": "4"}),
+    "mltest convert": (["--test", "even-ones", "--levels", "1"], {"--depth": "4"}),
+    "mltest universal": ([], {"--depth": "4"}),
+    "mltest score": (["--subject", "0"], {"--budget": "3", "--len-limit": "2", "--depth": "4"}),
+    "mltest bridge": (["--test", "leading-zeros", "--n-max", "1"], {"--depth": "4"}),
+}
+UNREAD = [(cmd, flag) for cmd, (_, reads) in READS.items() for flag in UNIVERSE_FLAGS
+          if flag not in reads]
+
+
+def test_each_subcommand_takes_the_universe_flags_it_reads():
+    flags = dict(universe_flags(_build_parser()))
+    assert flags == {"pfz": set(), "kraft": set()} | {c: set(r) for c, (_, r) in READS.items()}
+    assert (sum(map(len, flags.values())), len(UNREAD)) == (19, 33)
+
+
+@pytest.mark.parametrize("command, flag", UNREAD, ids=[" ".join(pair) for pair in UNREAD])
+def test_unread_universe_flags_are_usage_errors(capsys, command, flag):
+    code, out, err = run(capsys, *command.split(), *READS[command][0], flag, "1")
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag}" in err
+
+
+@pytest.mark.parametrize("command", READS)
+def test_read_universe_flags_are_named_in_the_header(capsys, monkeypatch, command):
+    # no horizon exists at limits a test can reach (see the horizon report test)
+    monkeypatch.setattr(randlab.cli, "horizon_search", lambda k, m_max, len_limit, budget: 2)
+    args, reads = READS[command]
+    code, out, _ = run(capsys, *command.split(), *args, *itertools.chain(*reads.items()))
+    assert code == 0
+    comments = [c for c in split_report(out)[0] if "registry_fingerprint" not in c]
+    header = DEFAULTS | {flag[2:].replace("-", "_"): value for flag, value in reads.items()}
+    assert comments == [f"# {key}={value}" for key, value in sorted(header.items())]
 
 
 def test_csv_rows_are_streamed_into_the_report(tmp_path):
@@ -415,7 +469,7 @@ JSON_REPORTS = [
     ["measure", "0", "10", "111"],
     ["complexity", "census", "--max-n", "3"],
     ["complexity", "pad", "--k", "2"],
-    ["omega", "--stage", "0", "--budget", "0"],
+    ["omega", "--stage", "0"],
     ["omega", "--stage", "64"],
     ["mltest", "convert", "--test", "even-ones", "--levels", "2", "--depth", "3"],
     ["mltest", "score", "--subject", "0" * 8],
@@ -463,9 +517,12 @@ def test_json_rows_are_streamed_into_the_report(tmp_path):
 
 
 def test_zero_counts_are_accepted(capsys):
-    code, out, _ = run(capsys, "omega", "--stage", "0", "--budget", "0")
+    code, out, _ = run(capsys, "omega", "--stage", "0")
     assert code == 0
     assert split_report(out)[2] == []
+    code, out, _ = run(capsys, "complexity", "census", "--max-n", "0", "--budget", "0")
+    assert code == 0
+    assert "# budget=0" in split_report(out)[0]
 
 
 @pytest.mark.parametrize(
