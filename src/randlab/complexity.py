@@ -7,7 +7,9 @@ exhausted, never that no program exists.  The only lower-bound style claim in
 the module is the incompressibility census, which counts strings that no
 budgeted short program reached; since the budgeted relation is a subset of
 the true one, that count can only overstate incompressibility, which is the
-safe direction for the counting argument it implements.
+safe direction for the counting argument it implements.  V's sweeps ask no
+program extending one that halts: V's domain is an antichain, so such a
+program is certified diverging.
 
 Registry constants appearing in the classic inequalities (dispatch overhead
 of the identity, the echo self-delimiter, the pad and pair decoders) are
@@ -45,10 +47,11 @@ class ComplexityBound:
 
     `exhaustive` is True when every shorter program either halted (with some
     other output) or was certified diverging, so no larger budget can ever
-    produce a shorter witness and `value` is the true complexity.  It is read
-    off the witness table's frontier, the first program in length-lex order
-    left unresolved at the budget: the bound is exhaustive exactly when that
-    program is no shorter than the witness.
+    produce a shorter witness and `value` is the true complexity.  For V, a
+    program extending a halting one is certified by prefix-freeness and never
+    asked.  The flag is read off the witness table's frontier, the first
+    program in length-lex order left unresolved at the budget: the bound is
+    exhaustive exactly when that program is no shorter than the witness.
     """
 
     value: int
@@ -115,12 +118,23 @@ def registry_constants() -> dict[str, int]:
 
 
 def _statuses(prefix: bool, max_len: int, len_limit: int, budget: int):
-    """(p, V's status on p if `prefix` else U's) at the checked budget, |p| <= max_len."""
+    """(p, V's status on p if `prefix` else U's) at the checked budget, |p| <= max_len,
+    in length-lex order.  V's domain is an antichain, so a program extending
+    one that halts is certified diverging, and V's sweep never asks it."""
     if len_limit < 0:
         return iter(())  # no programs, and no universe to run them
     budget, ctx = _check_budget(budget), _context(len_limit)
-    status = ctx.v_status if prefix else ctx.u_status
-    return ((p, status(p, budget)) for p in all_strings(max_len))
+    if not prefix:
+        return ((p, ctx.u_status(p, budget)) for p in all_strings(max_len))
+    return _v_sweep(ctx, max_len, budget)
+
+
+def _v_sweep(ctx, max_len: int, budget: int):
+    level = [""]  # a length at a time, never below a halting program
+    for _ in range(max_len + 1):
+        statuses = [(p, ctx.v_status(p, budget)) for p in level]
+        yield from statuses
+        level = [p + bit for p, st in statuses if st[0] != "h" for bit in "01"]
 
 
 def _witness_table(prefix: bool, len_limit: int, budget: int) -> tuple[dict, str | None]:

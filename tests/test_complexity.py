@@ -209,13 +209,19 @@ def test_bounds_make_no_status_call_once_the_table_is_built(monkeypatch) -> None
         plain_c(b, 8, BIG)
         prefix_k(b, 8, BIG)
     assert calls == []
-    # a cold sweep asks the universe once per program, in length-lex order
+    # a cold sweep asks the universe once per program in length-lex order,
+    # and V's only below no program that halts
     with fresh_universes():
-        for bound, name in ((plain_c, "u_status"), (prefix_k, "v_status")):
+        asked = [p for p, _ in runner_programs(True, 7, BIG)]
+    assert len(asked) == 81  # of 255
+    with fresh_universes():
+        for bound, name, programs in (
+            (plain_c, "u_status", list(all_strings(7))),
+            (prefix_k, "v_status", asked),
+        ):
             calls.clear()
             bound("", 7, BIG)
-            assert len(calls) == 2**8 - 1
-            assert calls == [(name, p, BIG) for p in all_strings(7)]
+            assert calls == [(name, p, BIG) for p in programs]
 
 
 def test_witness_tables_follow_the_installed_code_table(monkeypatch) -> None:
@@ -223,11 +229,14 @@ def test_witness_tables_follow_the_installed_code_table(monkeypatch) -> None:
     install_code_table({"0": "111"})
     assert prefix_k("111", 8, BIG) == ComplexityBound(6, "111100", BIG, 8, True)
     clear_code_table()
+    with fresh_universes():
+        asked = [p for p, _ in runner_programs(True, 8, BIG)]
+    assert len(asked) == 139  # of 511
     calls = spy_statuses(monkeypatch)
     # installing a table freed the default universes, so the table is swept
-    # again, once per program, to the same answer
+    # again, once per program below no halting one, to the same answer
     assert prefix_k("111", 8, BIG) == plain
-    assert len(calls) == 2**9 - 1
+    assert calls == [("v_status", p, BIG) for p in asked]
 
 
 @pytest.mark.parametrize("budget,error", [(-1, ValueError), (2.5, TypeError)])
@@ -604,20 +613,33 @@ def test_lengthened_map_constant() -> None:
 # ---------------------------------------------------------------------------
 
 
+def runner_programs(prefix: bool, len_limit: int, budget: int):
+    """The programs a sweep asks, in length-lex order, each with its public
+    runner outcome: every program for U; for V, every program that extends
+    no program seen halting, since V's domain is an antichain."""
+    runner = prefix_universal_run if prefix else universal_run
+    halted: set[str] = set()
+    for p in all_strings(len_limit):
+        if prefix and any(p[:k] in halted for k in range(len(p))):
+            continue
+        out = runner(p, budget, len_limit)
+        if out.halted:
+            halted.add(p)
+        yield p, out
+
+
 def runner_witness_table(prefix: bool, len_limit: int, budget: int):
-    """Oracle: the witness table as first written, one public runner call per
-    program, and the public classifier for each one that did not halt."""
+    """Oracle: the witness table through the public runners, one call per
+    program asked, and the public classifier for each one that did not halt."""
     if len_limit < 0:
         return {}, None
     tables = machine._context(len_limit).tables
     entry = tables.get((prefix, budget))
     if entry is None:
-        runner = prefix_universal_run if prefix else universal_run
         classify = prefix_universal_status if prefix else universal_status
         table: dict[str, str] = {}
         frontier = None
-        for p in all_strings(len_limit):
-            out = runner(p, budget, len_limit)
+        for p, out in runner_programs(prefix, len_limit, budget):
             if out.halted:
                 table.setdefault(out.output, p)
             elif frontier is None and classify(p, budget, len_limit) == "unresolved":
@@ -637,9 +659,9 @@ def runner_census(n: int, len_limit: int, budget: int) -> int:
 
 
 def runner_short_programs(len_limit: int, budget: int) -> list[str]:
-    """Oracle: budget_short_programs as first written, through the runner."""
+    """Oracle: budget_short_programs through the public runner."""
     table, _ = runner_witness_table(True, len_limit, budget)
-    runs = ((p, prefix_universal_run(p, budget, len_limit)) for p in all_strings(len_limit))
+    runs = runner_programs(True, len_limit, budget)
     return [p for p, out in runs if out.halted and len(table[out.output]) == len(p)]
 
 
@@ -692,3 +714,54 @@ def test_sweeps_match_the_runner_oracle(len_limit, code_table) -> None:
                 if not cold:
                     warm[side] = registry
             assert seen["engine"] == seen["oracle"], (cold, prefix, budget)
+
+
+# ---------------------------------------------------------------------------
+# the pruned V sweep against the full sweep
+# ---------------------------------------------------------------------------
+
+
+def full_sweep_answers(len_limit: int, budget: int):
+    """Oracle: V's witness table, frontier and short programs from the sweep
+    that asked every program, those extending a halting one included."""
+    ctx = machine._context(len_limit)
+    statuses = [(p, ctx.v_status(p, budget)) for p in all_strings(len_limit)]
+    table: dict[str, str] = {}
+    for p, st in statuses:
+        if st[0] == "h":
+            table.setdefault(st[2], p)
+    frontier = next((p for p, st in statuses if st[0] == "u"), None)
+    short = [p for p, st in statuses if st[0] == "h" and len(table[st[2]]) == len(p)]
+    return list(table.items()), frontier, short
+
+
+def pruned_sweep_answers(len_limit: int, budget: int):
+    table, frontier = complexity._witness_table(True, len_limit, budget)
+    return list(table.items()), frontier, budget_short_programs(len_limit, budget)
+
+
+@pytest.mark.parametrize("code_table", [{}, SWEEP_TABLE], ids=["no-table", "table"])
+@pytest.mark.parametrize("len_limit", range(14))
+def test_pruned_v_sweep_matches_the_full_sweep(len_limit, code_table) -> None:
+    # budgets rising and falling in a universe of their own, and each inner
+    # budget in a cold one (the first rising and the first falling budgets,
+    # 0 and BIG, are cold already)
+    install_code_table(code_table)
+    runs = [SWEEP_BUDGETS, SWEEP_BUDGETS[::-1], *([b] for b in SWEEP_BUDGETS[1:-1])]
+    for run in runs:
+        seen = {}
+        for answers in (pruned_sweep_answers, full_sweep_answers):
+            with fresh_universes():
+                seen[answers] = [answers(len_limit, budget) for budget in run]
+        assert seen[pruned_sweep_answers] == seen[full_sweep_answers], run
+
+
+def test_a_program_the_sweep_skipped_keeps_its_fresh_answer() -> None:
+    # README's example: "0" halts, so the table sweep never asks "0000", and
+    # a small budget later reads it unresolved, as a fresh process does
+    with fresh_universes():
+        assert prefix_universal_status("0000", 1, 12) == "unresolved"
+    with fresh_universes():
+        prefix_k("", 12, BIG)
+        assert prefix_universal_status("0000", 1, 12) == "unresolved"
+        assert prefix_universal_status("0000", BIG, 12) == "diverges"
