@@ -20,9 +20,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import total_ordering
 from typing import Iterator
 
 _ALPHABET = frozenset("01")
+_DECIMAL_MAX_SCALE = 64  # Dyadic.decimal renders no finer scale
 
 
 def _check_bits(b: str) -> str:
@@ -36,6 +38,7 @@ def _check_bits(b: str) -> str:
 # ---------------------------------------------------------------------------
 
 
+@total_ordering
 @dataclass(frozen=True)
 class Dyadic:
     """Exact non-negative dyadic rational num / 2**scale.
@@ -92,15 +95,6 @@ class Dyadic:
     def __lt__(self, other: "Dyadic | int") -> bool:
         return self._cmp(other) < 0
 
-    def __le__(self, other: "Dyadic | int") -> bool:
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other: "Dyadic | int") -> bool:
-        return self._cmp(other) > 0
-
-    def __ge__(self, other: "Dyadic | int") -> bool:
-        return self._cmp(other) >= 0
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = Dyadic(other)
@@ -122,11 +116,11 @@ class Dyadic:
             return str(self.num)
         return f"{self.num}/2^{self.scale}"
 
-    def decimal(self, max_scale: int = 64) -> str:
-        """Exact decimal rendering, or '' when the scale is unreasonably large."""
+    def decimal(self) -> str:
+        """Exact decimal rendering, or '' when the scale is above 64."""
         if self.scale == 0:
             return str(self.num)
-        if self.scale > max_scale:
+        if self.scale > _DECIMAL_MAX_SCALE:
             return ""
         digits = self.num * 5**self.scale
         text = str(digits).rjust(self.scale + 1, "0")

@@ -10,12 +10,12 @@ this machine, so estimates carry the registry fingerprint.
 
 Each universe keeps one dovetail replay, shared by every function here and
 extended only on demand: its events in ordinal order and their running Kraft
-masses, from which each stage's bound is read.  psi_reconstruct inverts it:
-given a string read as the dyadic value of a candidate lower-bound prefix,
-it finds the first event whose running mass exceeds that value, and reports
-the halted programs no longer than the prefix.  When the value really is a
-lower-bound prefix of the halting probability, every program of that length
-class must have appeared by the crossing point.
+masses.  A stage's bound and halted_below read the events through
+dovetail_events and sum them with kraft_sum.  psi_reconstruct bisects the
+masses for the first event whose mass exceeds a candidate lower-bound prefix
+read as a dyadic value, and reports the halted programs no longer than it.
+When the value really is a lower-bound prefix of the halting probability,
+every program of that length class must have appeared by the crossing point.
 """
 
 from __future__ import annotations
@@ -24,7 +24,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .bitstr import Dyadic, _check_bits, value_of
-from .machine import DEFAULT_LEN_LIMIT, _check_stage, _context, registry_fingerprint
+from .machine import (
+    DEFAULT_LEN_LIMIT, _check_stage, _context, dovetail_events, registry_fingerprint
+)
+from .prefixfree import kraft_sum
 
 
 @dataclass(frozen=True)
@@ -38,8 +41,8 @@ class OmegaEstimate:
 
 
 def _stage_replay(stage: int, len_limit: int) -> tuple[list, list[Dyadic]]:
-    """The universe's replay extended to ordinal `stage`: its events below
-    `stage`, and the running lower bound before and after each of them."""
+    """The CLI table's rows: the replay's events below ordinal `stage`, and
+    the running lower bound before and after each of them."""
     ctx = _context(len_limit)
     events = list(ctx.events_below(stage))
     return events, [Dyadic(m, len_limit) for m in ctx.masses[: len(events) + 1]]
@@ -48,16 +51,15 @@ def _stage_replay(stage: int, len_limit: int) -> tuple[list, list[Dyadic]]:
 def omega_lower_bound(stage: int, len_limit: int = DEFAULT_LEN_LIMIT) -> OmegaEstimate:
     """Exact Kraft mass of the programs seen halting within `stage` pairs."""
     stage = _check_stage(stage)
-    events, bounds = _stage_replay(stage, len_limit)
-    halted = frozenset(event.program for event in events)
-    return OmegaEstimate(bounds[-1], stage, halted, registry_fingerprint())
+    halted = frozenset(e.program for e in dovetail_events(stage, len_limit))
+    return OmegaEstimate(kraft_sum(halted), stage, halted, registry_fingerprint())
 
 
 def halted_below(
     n: int, stage: int, len_limit: int = DEFAULT_LEN_LIMIT
 ) -> frozenset[str]:
     """The stage-observed part of {p : |p| <= n and V(p) halts}."""
-    return frozenset(p for p in omega_lower_bound(stage, len_limit).halted if len(p) <= n)
+    return frozenset(e.program for e in dovetail_events(stage, len_limit) if len(e.program) <= n)
 
 
 def psi_reconstruct(

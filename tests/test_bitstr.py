@@ -172,6 +172,8 @@ def test_dyadic_properties_against_fraction(a, b, k) -> None:
             a - b
     assert (a < b, a <= b, a > b, a >= b, a == b) == (fa < fb, fa <= fb, fa > fb, fa >= fb, fa == fb)
     assert (a < k, a <= k, a > k, a >= k, a == k) == (fa < k, fa <= k, fa > k, fa >= k, fa == k)
+    # an int on the left reaches Dyadic's reflected __gt__, __ge__, __lt__, __le__
+    assert (k < a, k <= a, k > a, k >= a, k == a) == (k < fa, k <= fa, k > fa, k >= fa, k == fa)
     if fa == fb:
         assert (a.num, a.scale, hash(a)) == (b.num, b.scale, hash(b))
     if a == k:
@@ -224,6 +226,11 @@ def test_dyadic_rendering_round_trips() -> None:
     assert str(Dyadic(45, 6)) == "45/2^6"
     assert Dyadic(45, 6).decimal() == "0.703125"
     assert Dyadic(3, 0).decimal() == "3"
+    # exact digits through scale 64, and '' past it
+    assert Dyadic(1, 64).decimal() == "0." + str(5**64).rjust(64, "0")
+    assert Dyadic(2, 65).decimal() == Dyadic(1, 64).decimal()  # canonical scale 64
+    assert Dyadic(1, 65).decimal() == ""
+    assert Dyadic(3 * 2**70, 70).decimal() == "3"
 
 
 def test_parse_dyadic_reads_power_of_two_denominators() -> None:

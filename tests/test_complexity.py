@@ -756,6 +756,24 @@ def test_pruned_v_sweep_matches_the_full_sweep(len_limit, code_table) -> None:
         assert seen[pruned_sweep_answers] == seen[full_sweep_answers], run
 
 
+@pytest.mark.parametrize("code_table", [{}, SWEEP_TABLE], ids=["no-table", "table"])
+@pytest.mark.parametrize("len_limit", range(14))
+def test_no_extension_of_a_program_the_v_sweep_left_unresolved_halts(len_limit, code_table) -> None:
+    # the certificate a sweep that also skipped the extensions of unresolved
+    # programs would rest on: each extension within the length cap, asked at
+    # the sweep's budget in a universe of its own, does not halt
+    install_code_table(code_table)
+    items = machine._REGISTRY.code_table
+    for budget in (100, 10_000, BIG):
+        swept = complexity._v_sweep(machine._Context(len_limit, items), len_limit, budget)
+        unresolved = [p for p, st in swept if st[0] == "u"]
+        fresh = machine._Context(len_limit, items)
+        for p in unresolved:
+            for e in all_strings(len_limit - len(p)):
+                if e:
+                    assert fresh.v_status(p + e, budget)[0] != "h", (budget, p, e)
+
+
 def test_a_program_the_sweep_skipped_keeps_its_fresh_answer() -> None:
     # README's example: "0" halts, so the table sweep never asks "0000", and
     # a small budget later reads it unresolved, as a fresh process does

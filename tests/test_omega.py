@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fresh_universes
-from randlab import machine
+from randlab import machine, omega
 from randlab.bitstr import DYADIC_ZERO, Dyadic, bits_of, index_to_string, value_of
 from randlab.machine import (
     BudgetedOutcome,
@@ -95,6 +95,22 @@ def test_mass_at_desk_stage() -> None:
     estimate = omega_lower_bound(4096)
     assert estimate.halted == frozenset({"0", "100", "11100", "11000", "10100"})
     assert as_fraction(estimate.lower_bound) == Fraction(23, 32)
+
+
+def test_bounds_read_the_public_dovetail_events(monkeypatch) -> None:
+    # the stage bound and halted_below read their events through the public
+    # generator, the name a tracer rebinds, once per call
+    calls = []
+
+    def counting(stage, len_limit):
+        calls.append((stage, len_limit))
+        return dovetail_events(stage, len_limit)
+
+    monkeypatch.setattr(omega, "dovetail_events", counting)
+    estimate = omega_lower_bound(4096, 12)
+    assert estimate.lower_bound == kraft_sum(estimate.halted) == Dyadic(23, 5)
+    assert halted_below(3, 4096, 12) == {"0", "100"}
+    assert calls == [(4096, 12), (4096, 12)]
 
 
 # ---------------------------------------------------------------------------
