@@ -112,9 +112,10 @@ class Dyadic:
     # -- rendering ----------------------------------------------------
 
     def __str__(self) -> str:
+        """The report spelling: 'num/d' with d = 2^scale, or a bare integer."""
         if self.scale == 0:
             return str(self.num)
-        return f"{self.num}/2^{self.scale}"
+        return f"{self.num}/{1 << self.scale}"
 
     def decimal(self) -> str:
         """Exact decimal rendering, or '' when the scale is above 64."""
@@ -132,20 +133,13 @@ DYADIC_ZERO = Dyadic(0)
 DYADIC_ONE = Dyadic(1)
 
 
-def render_dyadic(r: Dyadic) -> str:
-    """The CLI report cell for r: 'num/d' with d = 2^scale, or a bare integer."""
-    return str(r.num) if r.scale == 0 else f"{r.num}/{2 ** r.scale}"
-
-
 def parse_dyadic(text: str) -> Dyadic:
-    """Parse a bare integer, 'num/2^k' (``str``) or 'num/d' with d a power of
-    two (``render_dyadic``) into a Dyadic; other denominators are ValueError."""
+    """Read back ``str(r)``: a bare integer or 'num/d' with d a power of two;
+    other denominators are ValueError."""
     text = text.strip()
     if "/" not in text:
         return Dyadic(int(text))
     num_text, denom_text = text.split("/", 1)
-    if denom_text.startswith("2^"):
-        return Dyadic(int(num_text), int(denom_text[2:]))
     denom = int(denom_text)
     if denom < 1 or denom & (denom - 1):
         raise ValueError(f"not a dyadic literal: {text!r}")

@@ -8,7 +8,7 @@ default.  CSV reports start with ``# key=value`` configuration comments and
 use LF line endings; JSON reports are a single object with ``config`` and
 ``results`` keys, sorted.  Bitstrings are ASCII ``0``/``1`` with the empty
 string spelled ``-`` on the command line, in files, and in report cells.
-Exact dyadic cells render as reduced fractions over powers of two; decimal
+Exact dyadic cells are ``str(Dyadic)``, reduced fractions over powers of two; decimal
 columns are annotations (dyadic decimals terminate, so they are exact too).
 
 Exit status: 0 on success, 1 on domain errors, definite failures (Kraft
@@ -28,7 +28,7 @@ import json
 import sys
 from collections.abc import Iterable
 
-from .bitstr import _check_bits, all_strings, index_to_string, render_dyadic
+from .bitstr import _check_bits, all_strings, index_to_string
 from .complexity import (
     PAD_SCAN_LIMIT,
     census_incompressible,
@@ -106,7 +106,8 @@ def _report_text(fmt: str, config: dict, columns: list[str], rows: Iterable[tupl
         head = json.dumps({"config": config, "results": []}, indent=2, sort_keys=True)
         rows, batches = iter(rows), []
         while batch := [dict(zip(columns, r, strict=True)) for r in itertools.islice(rows, 1024)]:
-            text = json.dumps(batch, indent=2, sort_keys=True)  # "[\n  {...},\n  {...}\n]"
+            # "[\n  {...},\n  {...}\n]", a Dyadic cell spelled by str as in CSV
+            text = json.dumps(batch, indent=2, sort_keys=True, default=str)
             batches.append("  " + text[2:-2].replace("\n", "\n  "))
         if not batches:
             return head + "\n"
@@ -181,8 +182,8 @@ def _cmd_measure(args) -> int:
     rows = [
         ("members", len(strings)),
         ("prefix_free", is_prefix_free(strings)),
-        ("kraft_sum", render_dyadic(kraft_sum(strings))),
-        ("cover_measure", render_dyadic(cover_measure(strings))),
+        ("kraft_sum", kraft_sum(strings)),
+        ("cover_measure", cover_measure(strings)),
     ]
     _emit(args, ["metric", "value"], rows)
     return 0
@@ -252,7 +253,7 @@ def _cmd_omega(args) -> int:
     events, bounds = _stage_replay(args.stage, args.len_limit)
     rows = [
         (spell(e.program), e.stage, e.outcome.status, spell(e.outcome.output))
-        + (render_dyadic(running), running.decimal())
+        + (running, running.decimal())
         for e, running in zip(events, bounds[1:])
     ]
     columns = ["program", "stage", "status", "output", "lower_bound", "lower_bound_decimal"]
@@ -262,10 +263,7 @@ def _cmd_omega(args) -> int:
 
 def _cmd_mltest_validate(args) -> int:
     verdicts = validate_sense1(registered_tests()[args.test], args.levels, args.depth)
-    rows = [
-        (v.m, v.verdict, render_dyadic(v.measure), render_dyadic(v.bound), v.depth)
-        for v in verdicts
-    ]
+    rows = [(v.m, v.verdict, v.measure, v.bound, v.depth) for v in verdicts]
     _emit(args, ["m", "verdict", "measure", "bound", "depth"], rows)
     return 1 if any(v.verdict == "fail" for v in verdicts) else 0
 

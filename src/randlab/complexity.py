@@ -18,7 +18,6 @@ derived from the registry indices so tests can pin them as numbers.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable
@@ -121,9 +120,10 @@ def _statuses(prefix: bool, max_len: int, len_limit: int, budget: int):
     """(p, V's status on p if `prefix` else U's) at the checked budget, |p| <= max_len,
     in length-lex order.  V's domain is an antichain, so a program extending
     one that halts is certified diverging, and V's sweep never asks it."""
+    budget = _check_budget(budget)
     if len_limit < 0:
         return iter(())  # no programs, and no universe to run them
-    budget, ctx = _check_budget(budget), _context(len_limit)
+    ctx = _context(len_limit)
     if not prefix:
         return ((p, ctx.u_status(p, budget)) for p in all_strings(max_len))
     return _v_sweep(ctx, max_len, budget)
@@ -138,9 +138,9 @@ def _v_sweep(ctx, max_len: int, budget: int):
 
 
 def _witness_table(prefix: bool, len_limit: int, budget: int) -> tuple[dict, str | None]:
+    budget = _check_budget(budget)  # before the lookup: 1e5 == 100_000 as a key
     if len_limit < 0:
         return {}, None  # no programs, and no universe to hold the table
-    budget = operator.index(budget)  # before the lookup: 1e5 == 100_000 as a key
     tables = _context(len_limit).tables
     entry = tables.get((prefix, budget))
     if entry is None:
@@ -230,6 +230,7 @@ def pad_witness(
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
+    budget = _check_budget(budget)  # even when the scan below is empty
     overhead = (REG_PAD + 1) + (REG_IDENTITY + 1)
     for length in range(k + 4, len_limit + 1):
         head = _check_bits(prefix_of(length))

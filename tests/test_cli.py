@@ -126,10 +126,6 @@ def test_unspell_reads_the_report_spelling():
         unspell("012")
 
 
-def test_render_dyadic_is_the_bitstr_one():
-    assert randlab.cli.render_dyadic is randlab.bitstr.render_dyadic
-
-
 def test_measure_report(capsys):
     code, out, _ = run(capsys, "measure", "0", "10", "11")
     _, header, rows = split_report(out)
@@ -495,6 +491,14 @@ def test_json_rows_spell_as_one_dumped_payload():
         assert _report_text("json", config, columns, iter(rows)) == expected + "\n"
 
 
+def test_dyadic_cells_are_spelled_by_str():
+    rows = [(Dyadic(3, 2), Dyadic(5)), (Dyadic(0, 9), Dyadic(1, 64))]
+    csv_text = _report_text("csv", {}, ["a", "b"], iter(rows))
+    assert csv_text == "a,b\n3/4,5\n0,1/18446744073709551616\n"
+    results = json.loads(_report_text("json", {}, ["a", "b"], iter(rows)))["results"]
+    assert results == [{"a": str(a), "b": str(b)} for a, b in rows]
+
+
 @pytest.mark.parametrize("bad", [(1,), (1, 2, 3)], ids=["too-few", "too-many"])
 @pytest.mark.parametrize("before", [0, 1024, 1500])
 def test_json_row_with_a_wrong_cell_count_raises(bad, before):
@@ -552,6 +556,17 @@ def test_file_errors_end_with_one_line(capsys, tmp_path):
         assert (code, out) == (1, "")
         assert err.startswith("randlab: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+
+def test_a_recursion_error_ends_with_one_line(capsys, monkeypatch):
+    def overflow(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(randlab.cli, "_cmd_enum", overflow)
+    # the parser binds its handler when built, so patch before main builds it
+    assert run(capsys, "enum", "--count", "3") == (
+        1, "", "randlab: maximum recursion depth exceeded\n"
+    )
 
 
 def test_a_stack_overflow_ends_with_one_line():

@@ -36,6 +36,7 @@ from randlab.machine import (
     universal_run,
     universal_status,
 )
+from randlab.mltest import compression_test, score
 
 BIG = 100_000
 
@@ -145,8 +146,8 @@ def test_target_validation() -> None:
 def test_budgets_must_be_natural_numbers() -> None:
     # prefix_k("0", 13, 1e5) used to die inside the pair machine with an
     # AttributeError; and once a table exists at budget 100, 100.0 hashes to
-    # the same key, so the check must come before the table lookup.  A
-    # negative budget is refused by the runners that build the table
+    # the same key, so the check must come before the table lookup, as
+    # must the check of a negative budget
     with pytest.raises(TypeError):
         prefix_k("0", 13, 1e5)
     assert prefix_k("0", 8, 100) is not None
@@ -254,12 +255,33 @@ def test_sweeps_refuse_a_bad_budget_before_their_first_program(budget, error) ->
                 sweep()
 
 
+@pytest.mark.parametrize("budget,error", [(-1, ValueError), (2.5, TypeError), (1e5, TypeError)])
+def test_a_bad_budget_is_refused_whatever_the_len_limit(budget, error) -> None:
+    # subadditivity_probe(0, -1, 1e5) returned a float budget in its report,
+    # and pad_witness with an empty scan never looked at its budget
+    for entry in (
+        lambda: plain_c("", -1, budget),
+        lambda: prefix_k("", -1, budget),
+        lambda: census_incompressible(3, -1, budget),
+        lambda: budget_short_programs(-1, budget),
+        lambda: horizon_search(0, 2, -1, budget),
+        lambda: subadditivity_probe(0, -1, budget),
+        lambda: pad_witness(zeros, 300, -1, budget),
+        lambda: score("0", None, -1, budget),
+        lambda: compression_test(0, -1, budget),
+        lambda: universal_run("", budget, -1),
+        lambda: prefix_universal_run("", budget, -1),
+    ):
+        with pytest.raises(error):
+            entry()
+
+
 def test_negative_len_limit_has_no_programs() -> None:
-    # nor a universe to run them in, so no budget is checked
+    # nor a universe to run them in
     with fresh_universes() as registry:
         assert plain_c("0", -1) is None
         assert prefix_k("0", -1) is None
-        for budget in (-1, 2.5, 0, BIG):
+        for budget in (0, BIG):
             assert census_incompressible(0, -1, budget) == 1
             assert census_incompressible(3, -2, budget) == 8
             assert budget_short_programs(-1, budget) == []

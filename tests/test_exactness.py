@@ -7,7 +7,9 @@ check reads the syntax tree, so strings and comments may still mention them.
 A second lint keeps the module state in one place: the only ``global``
 statement rebinds the registry object, in ``install_code_table``.  A third
 keeps memo state in the universe that owns it: the only process-wide
-``functools`` cache is the one on ``mltest._full_space``.
+``functools`` cache is the one on ``mltest._full_space``.  A fourth keeps one
+spelling of a ``Dyadic``: the only f-string that reads both a ``.num`` and a
+``.scale`` is the one in ``Dyadic.__str__``.
 """
 
 from __future__ import annotations
@@ -138,3 +140,45 @@ def test_memo_state_lives_in_the_universe() -> None:
         for owner, _ in cache_uses(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == [("mltest.py", "_full_space")]
+
+
+def dyadic_spellings(tree: ast.AST, owner: str | None = None) -> list[str | None]:
+    """The enclosing class or def, dotted, of every outermost f-string that
+    reads both a ``.num`` and a ``.scale`` attribute, in source order."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.JoinedStr):
+            attrs = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            if {"num", "scale"} <= attrs:
+                found.append(owner)
+            continue
+        inner = owner
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{owner}.{node.name}" if owner else node.name
+        found += dyadic_spellings(node, inner)
+    return found
+
+
+def test_the_lint_sees_every_dyadic_spelling() -> None:
+    snippet = (
+        'a = f"{d.num}/2^{d.scale}"\n'
+        'class D:\n    def s(self):\n        return f"{self.num}/{1 << self.scale}"\n'
+        'def g(r):\n    def h():\n        return f"{r.num:>{r.scale}}"\n'
+        "b = f\"{f'{r.num}'}/{2 ** r.scale}\"\n"
+    )
+    assert dyadic_spellings(ast.parse(snippet)) == [None, "D.s", "g.h", None]
+    unrelated = (
+        'a = f"{num}/2^{scale}"\nb = f"{r.num}"\nc = f"{r.scale}"\n'
+        'd = "{}/{}".format(r.num, r.scale)\ne = str(r.num) + "/" + str(r.scale)\n'
+    )
+    assert dyadic_spellings(ast.parse(unrelated)) == []
+
+
+def test_one_f_string_spells_a_dyadic() -> None:
+    # str(Dyadic) is the report cell; a second spelling would drift from it
+    found = [
+        (path.name, owner)
+        for path in SOURCES
+        for owner in dyadic_spellings(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == [("bitstr.py", "Dyadic.__str__")]

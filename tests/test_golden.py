@@ -55,6 +55,13 @@ GOLDEN = [
      "7f5bf45d6565ec1e6d40b55e595883d0e37e3258839ce384df196cb5c8c3aaa2"),
     (["complexity", "pad", "--k", "2"], 0,
      "0cc8ef1b315502856c3175cd96bfa518ae124e5dc99f2e2612398f669b111374"),
+    # JSON reports whose cells are Dyadics, spelled by json.dumps(default=str)
+    (["measure", "0", "10", "11", "--format", "json"], 0,
+     "b737c74809b54ffc855388b4371e15344ce917102319792a270297d16d56214e"),
+    (["omega", "--format", "json"], 0,
+     "ae31e4bf28bdd22609944bb8372f413975cef977d33fd51471f407d67f5e926b"),
+    (["mltest", "validate", "--test", "count101", "--levels", "3", "--format", "json"], 1,
+     "e30af874cf53c6ca61b224ff02eb20833742a18ebab2ae07738ad6d73ed0583c"),
 ]
 
 
