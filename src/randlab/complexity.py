@@ -7,9 +7,10 @@ exhausted, never that no program exists.  The only lower-bound style claim in
 the module is the incompressibility census, which counts strings that no
 budgeted short program reached; since the budgeted relation is a subset of
 the true one, that count can only overstate incompressibility, which is the
-safe direction for the counting argument it implements.  V's sweeps ask no
-program extending one that halts: V's domain is an antichain, so such a
-program is certified diverging.
+safe direction for the counting argument it implements.  A witness table is
+swept a length at a time, only as far as its reader needs; a bound query
+sweeps it to the end.  V's sweeps ask no program extending one that halts:
+V's domain is an antichain, so such a program is certified diverging.
 
 Registry constants appearing in the classic inequalities (dispatch overhead
 of the identity, the echo self-delimiter, the pad and pair decoders) are
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Callable
 
-from .bitstr import _check_bits, all_strings, string_to_index
+from .bitstr import _check_bits, _spell, all_strings, string_to_index
 from .machine import (
     DEFAULT_BUDGET,
     DEFAULT_LEN_LIMIT,
@@ -116,43 +117,56 @@ def registry_constants() -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-def _statuses(prefix: bool, max_len: int, len_limit: int, budget: int):
-    """(p, V's status on p if `prefix` else U's) at the checked budget, |p| <= max_len,
-    in length-lex order.  V's domain is an antichain, so a program extending
-    one that halts is certified diverging, and V's sweep never asks it."""
-    budget = _check_budget(budget)
-    if len_limit < 0:
-        return iter(())  # no programs, and no universe to run them
-    ctx = _context(len_limit)
-    if not prefix:
-        return ((p, ctx.u_status(p, budget)) for p in all_strings(max_len))
-    return _v_sweep(ctx, max_len, budget)
+class _Sweep:
+    """A witness table swept a length at a time: output -> first program, the
+    first program left unresolved at the budget or None, the last length
+    swept, and V's next level, the programs extending none that halts."""
+
+    __slots__ = ("table", "frontier", "swept", "level")
+
+    def __init__(self):
+        self.table, self.frontier, self.swept, self.level = {}, None, -1, [""]
+
+    def step(self, ctx, prefix: bool, budget: int) -> list:
+        """Sweep the next length; its (program, status) pairs in length-lex order."""
+        self.swept += 1
+        if prefix:
+            statuses = [(p, ctx.v_status(p, budget)) for p in self.level]
+            self.level = [p + bit for p, st in statuses if st[0] != "h" for bit in "01"]
+        else:
+            statuses = [(p, ctx.u_status(p, budget)) for p in _spell(self.swept)]
+        for p, st in statuses:
+            if st[0] == "h":
+                self.table.setdefault(st[2], p)
+            elif self.frontier is None and st[0] == "u":
+                self.frontier = p
+        return statuses
 
 
-def _v_sweep(ctx, max_len: int, budget: int):
-    level = [""]  # a length at a time, never below a halting program
-    for _ in range(max_len + 1):
-        statuses = [(p, ctx.v_status(p, budget)) for p in level]
-        yield from statuses
-        level = [p + bit for p, st in statuses if st[0] != "h" for bit in "01"]
-
-
-def _witness_table(prefix: bool, len_limit: int, budget: int) -> tuple[dict, str | None]:
+def _witness_table(prefix: bool, len_limit: int, budget: int, through: int | None = None):
+    """V's witness table if `prefix`, else U's, and its frontier, swept through
+    program length `through` or further (to `len_limit` by default)."""
     budget = _check_budget(budget)  # before the lookup: 1e5 == 100_000 as a key
     if len_limit < 0:
         return {}, None  # no programs, and no universe to hold the table
-    tables = _context(len_limit).tables
-    entry = tables.get((prefix, budget))
-    if entry is None:
-        table: dict[str, str] = {}
-        frontier = None
-        for p, st in _statuses(prefix, len_limit, len_limit, budget):
-            if st[0] == "h":
-                table.setdefault(st[2], p)
-            elif frontier is None and st[0] == "u":
-                frontier = p
-        entry = tables[(prefix, budget)] = (table, frontier)
-    return entry
+    ctx = _context(len_limit)
+    sweep = ctx.tables.get((prefix, budget))
+    if sweep is None:
+        sweep = ctx.tables[(prefix, budget)] = _Sweep()
+    while sweep.swept < len_limit and (through is None or sweep.swept < through):
+        sweep.step(ctx, prefix, budget)
+    return sweep.table, sweep.frontier
+
+
+def _witnesses(prefix: bool, outputs, len_limit: int, budget: int) -> dict[str, str]:
+    """The witness table, swept until each of `outputs` has a witness or to the end."""
+    through, missing = 0, list(outputs)
+    while True:
+        table, _ = _witness_table(prefix, len_limit, budget, through)
+        missing = [s for s in missing if s not in table]
+        if not missing or through >= len_limit:
+            return table
+        through += 1
 
 
 def _bound(b: str, prefix: bool, len_limit: int, budget: int) -> ComplexityBound | None:
@@ -169,7 +183,7 @@ def _compressible(
 ) -> frozenset[str]:
     """Strings b with |b| <= max_len whose witness (V when `prefix`, else U)
     is at least k shorter than b, read from the witness table."""
-    table, _ = _witness_table(prefix, len_limit, budget)
+    table, _ = _witness_table(prefix, len_limit, budget, max_len - k)
     return frozenset(
         s for s, w in table.items() if len(s) <= max_len and len(w) <= len(s) - k
     )
@@ -204,9 +218,8 @@ def census_incompressible(
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    sweep = _statuses(False, min(n - 1, len_limit), len_limit, budget)
-    produced = {st[2] for _, st in sweep if st[0] == "h" and len(st[2]) == n}
-    return 2**n - len(produced)
+    table, _ = _witness_table(False, len_limit, budget, n - 1)
+    return 2**n - sum(len(s) == n and len(w) < n for s, w in table.items())
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +311,8 @@ def subadditivity_probe(
     masked by the caller's budget.
     """
     strings = list(all_strings(n_max))
-    plain, _ = _witness_table(False, len_limit, budget)
-    prefix, _ = _witness_table(True, len_limit, budget)
+    plain = _witnesses(False, all_strings(2 * n_max), len_limit, budget)
+    prefix = _witnesses(True, strings, len_limit, budget)
 
     gaps = []
     violations = []
@@ -345,5 +358,8 @@ def budget_short_programs(
     program for the same output and evict an entry.
     """
     table, _ = _witness_table(True, len_limit, budget)
-    sweep = _statuses(True, len_limit, len_limit, budget)
-    return [p for p, st in sweep if st[0] == "h" and len(table[st[2]]) == len(p)]
+    walk, budget = _Sweep(), _check_budget(budget)  # V again, the memo answering
+    return [
+        p for _ in range(len_limit + 1) for p, st in walk.step(_context(len_limit), True, budget)
+        if st[0] == "h" and len(table[st[2]]) == len(p)
+    ]

@@ -242,8 +242,8 @@ def _settle(memo: dict, key, status, cap: int):
 class _Context:
     """The status memos _machine (pad and pair) and _v (V) for one
     (len_limit, installed code table) pair; its first-witness tables:
-    (prefix, budget) -> (output -> first program, first program left
-    unresolved at the budget or None); and its dovetail replay: events in
+    (prefix, budget) -> complexity's sweep of that table, which advances a
+    length at a time; and its dovetail replay: events in
     ordinal order, masses[k] = the first k events' Kraft mass times
     2^len_limit, and the pair (ordinal, diagonal, j) where it stopped."""
 
@@ -253,7 +253,7 @@ class _Context:
     def __init__(self, len_limit: int, code_table: tuple[tuple[str, str], ...]):
         self.len_limit = len_limit
         self.code_table = code_table
-        self.tables: dict[tuple[bool, int], tuple[dict[str, str], str | None]] = {}
+        self.tables: dict[tuple[bool, int], object] = {}
         self.events: list[DovetailEvent] = []
         self.masses = [0]
         self.replay_at = (0, 1, 0)
@@ -577,14 +577,14 @@ _STATUS_NAMES = {"h": "halted", "d": "diverges", "u": "unresolved"}
 def universal_status(inp: str, budget: int, len_limit: int = DEFAULT_LEN_LIMIT) -> str:
     """Classify U on `inp`: "halted" within budget, certified "diverges"
     (no budget will ever help), or "unresolved" at this budget."""
-    return _STATUS_NAMES[_context(len_limit).u_status(_check_bits(inp), _check_budget(budget))[0]]
+    budget = _check_budget(budget)
+    return _STATUS_NAMES[_context(len_limit).u_status(_check_bits(inp), budget)[0]]
 
 
-def prefix_universal_status(
-    prog: str, budget: int, len_limit: int = DEFAULT_LEN_LIMIT
-) -> str:
+def prefix_universal_status(prog: str, budget: int, len_limit: int = DEFAULT_LEN_LIMIT) -> str:
     """Classify V on `prog` the way universal_status classifies U."""
-    return _STATUS_NAMES[_context(len_limit).v_status(_check_bits(prog), _check_budget(budget))[0]]
+    budget = _check_budget(budget)
+    return _STATUS_NAMES[_context(len_limit).v_status(_check_bits(prog), budget)[0]]
 
 
 def dovetail_events(stage: int, len_limit: int = DEFAULT_LEN_LIMIT):

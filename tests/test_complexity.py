@@ -271,6 +271,8 @@ def test_a_bad_budget_is_refused_whatever_the_len_limit(budget, error) -> None:
         lambda: compression_test(0, -1, budget),
         lambda: universal_run("", budget, -1),
         lambda: prefix_universal_run("", budget, -1),
+        lambda: universal_status("", budget, -1),
+        lambda: prefix_universal_status("", budget, -1),
     ):
         with pytest.raises(error):
             entry()
@@ -706,13 +708,20 @@ def sweep_answers(side: str, prefix: bool, len_limit: int, budget: int):
     return answers
 
 
+def table_parts(entry) -> tuple[list, str | None]:
+    # the engine keeps a resumable sweep per table, the oracles (table, frontier)
+    is_sweep = isinstance(entry, complexity._Sweep)
+    table, frontier = (entry.table, entry.frontier) if is_sweep else entry
+    return list(table.items()), frontier
+
+
 def universes() -> dict:
     # every universe's memos and tables, in insertion order
     return {
         key: (
             list(ctx._machine.items()),
             list(ctx._v.items()),
-            [(k, list(table.items()), frontier) for k, (table, frontier) in ctx.tables.items()],
+            [(k, *table_parts(entry)) for k, entry in ctx.tables.items()],
         )
         for key, ctx in machine._REGISTRY.contexts.items()
     }
@@ -787,7 +796,8 @@ def test_no_extension_of_a_program_the_v_sweep_left_unresolved_halts(len_limit, 
     install_code_table(code_table)
     items = machine._REGISTRY.code_table
     for budget in (100, 10_000, BIG):
-        swept = complexity._v_sweep(machine._Context(len_limit, items), len_limit, budget)
+        ctx, sweep = machine._Context(len_limit, items), complexity._Sweep()
+        swept = [pair for _ in range(len_limit + 1) for pair in sweep.step(ctx, True, budget)]
         unresolved = [p for p, st in swept if st[0] == "u"]
         fresh = machine._Context(len_limit, items)
         for p in unresolved:
@@ -805,3 +815,99 @@ def test_a_program_the_sweep_skipped_keeps_its_fresh_answer() -> None:
         prefix_k("", 12, BIG)
         assert prefix_universal_status("0000", 1, 12) == "unresolved"
         assert prefix_universal_status("0000", BIG, 12) == "diverges"
+
+
+# ---------------------------------------------------------------------------
+# tables swept as far as their reader needs against the eager tables
+# ---------------------------------------------------------------------------
+
+
+def eager_statuses(ctx, prefix: bool, len_limit: int, budget: int):
+    if not prefix:
+        yield from ((p, ctx.u_status(p, budget)) for p in all_strings(len_limit))
+        return
+    level = [""]  # a length at a time, never below a halting program
+    for _ in range(len_limit + 1):
+        statuses = [(p, ctx.v_status(p, budget)) for p in level]
+        yield from statuses
+        level = [p + bit for p, st in statuses if st[0] != "h" for bit in "01"]
+
+
+def eager_witness_table(prefix: bool, len_limit: int, budget: int, through=None):
+    """Oracle: the witness table as first written, swept to the end on first
+    use whatever length its reader needs (`through` goes unread)."""
+    budget = machine._check_budget(budget)
+    if len_limit < 0:
+        return {}, None
+    ctx = machine._context(len_limit)
+    entry = ctx.tables.get((prefix, budget))
+    if entry is None:
+        table: dict[str, str] = {}
+        frontier = None
+        for p, st in eager_statuses(ctx, prefix, len_limit, budget):
+            if st[0] == "h":
+                table.setdefault(st[2], p)
+            elif frontier is None and st[0] == "u":
+                frontier = p
+        entry = ctx.tables[(prefix, budget)] = (table, frontier)
+    return entry
+
+
+def table_readers(census, len_limit: int, budget: int) -> list:
+    """Each reader's answers in turn, the ones that sweep a table part of the
+    way first and the two whole tables last.  Nothing here is compressible by
+    a margin k >= 0, so the compressible sets also take a negative k, each
+    asking a longer sweep than the one before."""
+    return [
+        lambda: [census(n, len_limit, budget) for n in range(len_limit + 2)],
+        lambda: [
+            complexity._compressible(prefix, k, max_len, len_limit, budget)
+            for prefix in (False, True) for max_len in (4, len_limit) for k in (1, 0, -1, -3)
+        ],
+        lambda: [horizon_search(k, 6, len_limit, budget) for k in (0, 1)],
+        lambda: [compression_test(k, len_limit, budget, 8) for k in (-5, 0)],
+        lambda: [subadditivity_probe(n_max, len_limit, budget) for n_max in range(3)],
+        lambda: [
+            list(complexity._witness_table(prefix, len_limit, budget)[0].items())
+            for prefix in (False, True)
+        ],
+    ]
+
+
+@pytest.mark.parametrize("code_table", [{}, SWEEP_TABLE], ids=["no-table", "table"])
+@pytest.mark.parametrize("len_limit", range(14))
+def test_partial_sweeps_answer_as_the_eager_tables(len_limit, code_table, monkeypatch) -> None:
+    # halting statuses do not depend on what a universe already holds, so a
+    # table swept as far as each reader needs gives the eager table's answers,
+    # each reader in a cold universe, or all in one before the whole tables
+    # or after them
+    install_code_table(code_table)
+    for budget in SWEEP_BUDGETS:
+        with fresh_universes(), monkeypatch.context() as patch:
+            patch.setattr(complexity, "_witness_table", eager_witness_table)
+            expected = [read() for read in table_readers(runner_census, len_limit, budget)]
+        readers = table_readers(census_incompressible, len_limit, budget)
+        for read, answer in zip(readers, expected):
+            with fresh_universes():
+                assert read() == answer, budget
+        with fresh_universes():
+            assert [read() for read in readers] == expected, budget
+        with fresh_universes():
+            assert [read() for read in readers[::-1]] == expected[::-1], budget
+
+
+def test_the_subadditivity_probe_runs_u_only_as_far_as_its_outputs(monkeypatch) -> None:
+    # identity dispatch gives every string of length <= 8 a witness of
+    # length <= 9, so the plain side asks U 1,023 of the 16,383 programs, and
+    # a bound query later sweeps on from length 10
+    calls = spy_statuses(monkeypatch)
+    with fresh_universes():
+        subadditivity_probe(4, 13, BIG)
+        asked = [call for call in calls if call[0] == "u_status"]
+        assert asked == [("u_status", p, BIG) for p in all_strings(9)]
+        calls.clear()
+        plain_c("0110", 13, BIG)
+        assert calls == [("u_status", p, BIG) for p in all_strings(13) if len(p) >= 10]
+        calls.clear()
+        plain_c("1", 13, BIG)
+        assert calls == []

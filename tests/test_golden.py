@@ -33,6 +33,10 @@ GOLDEN = [
      "f543d5bad3a772225eebe5d46bb08ba1f034eef54080850846453103c00ea1b2"),
     (["complexity", "subadd", "--max-n", "1"], 0,
      "eb7ebac155a894fb0725b3c88b7d0e59d9397e5ac37e5aad7cb6e376a34b60fd"),
+    (["complexity", "subadd"], 0,
+     "846298681dc33e38f6278b35cad2b890d687f0a2a57a3cdad1393baba59dbe1f"),
+    (["complexity", "census"], 0,
+     "89c1b99db84768fdcd04f5fe0ba775d5ed6190587ad4d4705a09a988ec6dfa5d"),
     (["omega"], 0,
      "ab51ebc84d83617d8c0854e40c9d47b2a4ac6bd0a38991353940103185de938b"),
     (["omega", "--until-mass", "0", "--stage", "5"], 0,
