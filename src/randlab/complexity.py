@@ -117,30 +117,34 @@ def registry_constants() -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
+def _v_level(ctx, level: list, budget: int) -> tuple[list, list]:
+    """V's (program, status) pairs on `level`, and the extensions of those not halting."""
+    statuses = [(p, ctx.v_status(p, budget)) for p in level]
+    return statuses, [p + bit for p, st in statuses if st[0] != "h" for bit in "01"]
+
+
 class _Sweep:
     """A witness table swept a length at a time: output -> first program, the
     first program left unresolved at the budget or None, the last length
-    swept, and V's next level, the programs extending none that halts."""
+    swept, and V's next level."""
 
     __slots__ = ("table", "frontier", "swept", "level")
 
     def __init__(self):
         self.table, self.frontier, self.swept, self.level = {}, None, -1, [""]
 
-    def step(self, ctx, prefix: bool, budget: int) -> list:
-        """Sweep the next length; its (program, status) pairs in length-lex order."""
-        self.swept += 1
+    def step(self, ctx, prefix: bool, budget: int) -> None:
+        """Sweep the next length; a raise while asking leaves the sweep as it was."""
         if prefix:
-            statuses = [(p, ctx.v_status(p, budget)) for p in self.level]
-            self.level = [p + bit for p, st in statuses if st[0] != "h" for bit in "01"]
+            statuses, self.level = _v_level(ctx, self.level, budget)
         else:
-            statuses = [(p, ctx.u_status(p, budget)) for p in _spell(self.swept)]
+            statuses = [(p, ctx.u_status(p, budget)) for p in _spell(self.swept + 1)]
+        self.swept += 1
         for p, st in statuses:
             if st[0] == "h":
                 self.table.setdefault(st[2], p)
             elif self.frontier is None and st[0] == "u":
                 self.frontier = p
-        return statuses
 
 
 def _witness_table(prefix: bool, len_limit: int, budget: int, through: int | None = None):
@@ -160,13 +164,12 @@ def _witness_table(prefix: bool, len_limit: int, budget: int, through: int | Non
 
 def _witnesses(prefix: bool, outputs, len_limit: int, budget: int) -> dict[str, str]:
     """The witness table, swept until each of `outputs` has a witness or to the end."""
-    through, missing = 0, list(outputs)
-    while True:
+    outputs = list(outputs)
+    for through in range(len_limit):
         table, _ = _witness_table(prefix, len_limit, budget, through)
-        missing = [s for s in missing if s not in table]
-        if not missing or through >= len_limit:
+        if all(s in table for s in outputs):
             return table
-        through += 1
+    return _witness_table(prefix, len_limit, budget)[0]
 
 
 def _bound(b: str, prefix: bool, len_limit: int, budget: int) -> ComplexityBound | None:
@@ -357,9 +360,11 @@ def budget_short_programs(
     Membership is budget-relative: a larger budget can reveal a shorter
     program for the same output and evict an entry.
     """
-    table, _ = _witness_table(True, len_limit, budget)
-    walk, budget = _Sweep(), _check_budget(budget)  # V again, the memo answering
-    return [
-        p for _ in range(len_limit + 1) for p, st in walk.step(_context(len_limit), True, budget)
-        if st[0] == "h" and len(table[st[2]]) == len(p)
-    ]
+    table, _ = _witness_table(True, len_limit, budget)  # refuses a bad budget first
+    if len_limit < 0:
+        return []
+    ctx, budget, level, short = _context(len_limit), _check_budget(budget), [""], []
+    for _ in range(len_limit + 1):
+        statuses, level = _v_level(ctx, level, budget)
+        short += [p for p, st in statuses if st[0] == "h" and len(table[st[2]]) == len(p)]
+    return short

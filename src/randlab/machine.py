@@ -581,7 +581,9 @@ def universal_status(inp: str, budget: int, len_limit: int = DEFAULT_LEN_LIMIT) 
     return _STATUS_NAMES[_context(len_limit).u_status(_check_bits(inp), budget)[0]]
 
 
-def prefix_universal_status(prog: str, budget: int, len_limit: int = DEFAULT_LEN_LIMIT) -> str:
+def prefix_universal_status(
+    prog: str, budget: int, len_limit: int = DEFAULT_LEN_LIMIT
+) -> str:
     """Classify V on `prog` the way universal_status classifies U."""
     budget = _check_budget(budget)
     return _STATUS_NAMES[_context(len_limit).v_status(_check_bits(prog), budget)[0]]

@@ -652,9 +652,10 @@ def runner_programs(prefix: bool, len_limit: int, budget: int):
         yield p, out
 
 
-def runner_witness_table(prefix: bool, len_limit: int, budget: int):
+def runner_witness_table(prefix: bool, len_limit: int, budget: int, through=None):
     """Oracle: the witness table through the public runners, one call per
-    program asked, and the public classifier for each one that did not halt."""
+    program asked, and the public classifier for each one that did not halt.
+    It is swept to the end on first use, whatever length `through` asks."""
     if len_limit < 0:
         return {}, None
     tables = machine._context(len_limit).tables
@@ -796,8 +797,10 @@ def test_no_extension_of_a_program_the_v_sweep_left_unresolved_halts(len_limit, 
     install_code_table(code_table)
     items = machine._REGISTRY.code_table
     for budget in (100, 10_000, BIG):
-        ctx, sweep = machine._Context(len_limit, items), complexity._Sweep()
-        swept = [pair for _ in range(len_limit + 1) for pair in sweep.step(ctx, True, budget)]
+        ctx, level, swept = machine._Context(len_limit, items), [""], []
+        for _ in range(len_limit + 1):
+            statuses, level = complexity._v_level(ctx, level, budget)
+            swept += statuses
         unresolved = [p for p, st in swept if st[0] == "u"]
         fresh = machine._Context(len_limit, items)
         for p in unresolved:
@@ -818,39 +821,8 @@ def test_a_program_the_sweep_skipped_keeps_its_fresh_answer() -> None:
 
 
 # ---------------------------------------------------------------------------
-# tables swept as far as their reader needs against the eager tables
+# tables swept as far as their reader needs against the runner oracle
 # ---------------------------------------------------------------------------
-
-
-def eager_statuses(ctx, prefix: bool, len_limit: int, budget: int):
-    if not prefix:
-        yield from ((p, ctx.u_status(p, budget)) for p in all_strings(len_limit))
-        return
-    level = [""]  # a length at a time, never below a halting program
-    for _ in range(len_limit + 1):
-        statuses = [(p, ctx.v_status(p, budget)) for p in level]
-        yield from statuses
-        level = [p + bit for p, st in statuses if st[0] != "h" for bit in "01"]
-
-
-def eager_witness_table(prefix: bool, len_limit: int, budget: int, through=None):
-    """Oracle: the witness table as first written, swept to the end on first
-    use whatever length its reader needs (`through` goes unread)."""
-    budget = machine._check_budget(budget)
-    if len_limit < 0:
-        return {}, None
-    ctx = machine._context(len_limit)
-    entry = ctx.tables.get((prefix, budget))
-    if entry is None:
-        table: dict[str, str] = {}
-        frontier = None
-        for p, st in eager_statuses(ctx, prefix, len_limit, budget):
-            if st[0] == "h":
-                table.setdefault(st[2], p)
-            elif frontier is None and st[0] == "u":
-                frontier = p
-        entry = ctx.tables[(prefix, budget)] = (table, frontier)
-    return entry
 
 
 def table_readers(census, len_limit: int, budget: int) -> list:
@@ -876,15 +848,15 @@ def table_readers(census, len_limit: int, budget: int) -> list:
 
 @pytest.mark.parametrize("code_table", [{}, SWEEP_TABLE], ids=["no-table", "table"])
 @pytest.mark.parametrize("len_limit", range(14))
-def test_partial_sweeps_answer_as_the_eager_tables(len_limit, code_table, monkeypatch) -> None:
+def test_partial_sweeps_answer_as_the_runner_oracle(len_limit, code_table, monkeypatch) -> None:
     # halting statuses do not depend on what a universe already holds, so a
-    # table swept as far as each reader needs gives the eager table's answers,
+    # table swept as far as each reader needs gives the oracle's answers,
     # each reader in a cold universe, or all in one before the whole tables
     # or after them
     install_code_table(code_table)
     for budget in SWEEP_BUDGETS:
         with fresh_universes(), monkeypatch.context() as patch:
-            patch.setattr(complexity, "_witness_table", eager_witness_table)
+            patch.setattr(complexity, "_witness_table", runner_witness_table)
             expected = [read() for read in table_readers(runner_census, len_limit, budget)]
         readers = table_readers(census_incompressible, len_limit, budget)
         for read, answer in zip(readers, expected):
@@ -911,3 +883,40 @@ def test_the_subadditivity_probe_runs_u_only_as_far_as_its_outputs(monkeypatch) 
         calls.clear()
         plain_c("1", 13, BIG)
         assert calls == []
+
+
+class Interrupted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("prefix", [False, True], ids=["U", "V"])
+@pytest.mark.parametrize("through", [None, 7])
+def test_a_sweep_a_raise_cut_short_resumes_as_a_cold_one(prefix, through, monkeypatch) -> None:
+    # a raise on the second program asked at length 5 leaves the sweep at
+    # length 4; asking again sweeps on to the cold sweep's table, frontier
+    # and V's next level
+    name = "v_status" if prefix else "u_status"
+    fn, asked = getattr(machine._Context, name), []
+
+    def interrupt_once(self, prog, cap):
+        if len(prog) == 5 and cap == 100:
+            asked.append(prog)
+            if len(asked) == 2:
+                raise Interrupted(prog)
+        return fn(self, prog, cap)
+
+    def state(sweep) -> tuple:
+        return list(sweep.table.items()), sweep.frontier, sweep.swept, sweep.level
+
+    with fresh_universes():
+        complexity._witness_table(prefix, 10, 100)
+        cold = state(machine._context(10).tables[(prefix, 100)])
+    with fresh_universes(), monkeypatch.context() as patch:
+        patch.setattr(machine._Context, name, interrupt_once)
+        with pytest.raises(Interrupted):
+            complexity._witness_table(prefix, 10, 100, through)
+        sweep = machine._context(10).tables[(prefix, 100)]
+        assert sweep.swept == 4
+        complexity._witness_table(prefix, 10, 100, through)
+        complexity._witness_table(prefix, 10, 100)
+        assert state(sweep) == cold
