@@ -126,7 +126,7 @@ def _v_level(ctx, level: list, budget: int) -> tuple[list, list]:
 class _Sweep:
     """A witness table swept a length at a time: output -> first program, the
     first program left unresolved at the budget or None, the last length
-    swept, and V's next level."""
+    swept, and V's next level (None once V's sweep reaches len_limit)."""
 
     __slots__ = ("table", "frontier", "swept", "level")
 
@@ -136,7 +136,8 @@ class _Sweep:
     def step(self, ctx, prefix: bool, budget: int) -> None:
         """Sweep the next length; a raise while asking leaves the sweep as it was."""
         if prefix:
-            statuses, self.level = _v_level(ctx, self.level, budget)
+            statuses, level = _v_level(ctx, self.level, budget)
+            self.level = level if self.swept + 1 < ctx.len_limit else None
         else:
             statuses = [(p, ctx.u_status(p, budget)) for p in _spell(self.swept + 1)]
         self.swept += 1

@@ -345,6 +345,8 @@ def compression_test(
     prefix complexity is at least k below their length.  The budgeted
     relation is a subset of the true one, so the exact cover mass obeys the
     2^-k bound a fortiori."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
     return _compressible(True, k, depth, len_limit, budget)
 
 

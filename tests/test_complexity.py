@@ -398,6 +398,8 @@ def test_negative_counts_and_short_prefixes_are_refused() -> None:
         pad_witness(zeros, -1)
     with pytest.raises(ValueError, match="k must be nonnegative"):
         horizon_search(-1, 3)
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        compression_test(-2, 12, 10**5, 6)
     with pytest.raises(ValueError, match="prefixes of the asked length"):
         pad_witness(lambda n: zeros(n - 1), 0)
 
@@ -829,7 +831,8 @@ def table_readers(census, len_limit: int, budget: int) -> list:
     """Each reader's answers in turn, the ones that sweep a table part of the
     way first and the two whole tables last.  Nothing here is compressible by
     a margin k >= 0, so the compressible sets also take a negative k, each
-    asking a longer sweep than the one before."""
+    asking a longer sweep than the one before; compression_test refuses one,
+    so its k = -5 goes to the _compressible it wraps."""
     return [
         lambda: [census(n, len_limit, budget) for n in range(len_limit + 2)],
         lambda: [
@@ -837,7 +840,10 @@ def table_readers(census, len_limit: int, budget: int) -> list:
             for prefix in (False, True) for max_len in (4, len_limit) for k in (1, 0, -1, -3)
         ],
         lambda: [horizon_search(k, 6, len_limit, budget) for k in (0, 1)],
-        lambda: [compression_test(k, len_limit, budget, 8) for k in (-5, 0)],
+        lambda: [
+            complexity._compressible(True, -5, 8, len_limit, budget),
+            compression_test(0, len_limit, budget, 8),
+        ],
         lambda: [subadditivity_probe(n_max, len_limit, budget) for n_max in range(3)],
         lambda: [
             list(complexity._witness_table(prefix, len_limit, budget)[0].items())
@@ -911,6 +917,8 @@ def test_a_sweep_a_raise_cut_short_resumes_as_a_cold_one(prefix, through, monkey
     with fresh_universes():
         complexity._witness_table(prefix, 10, 100)
         cold = state(machine._context(10).tables[(prefix, 100)])
+    if prefix:
+        assert cold[3] is None  # a finished V sweep holds no level
     with fresh_universes(), monkeypatch.context() as patch:
         patch.setattr(machine._Context, name, interrupt_once)
         with pytest.raises(Interrupted):

@@ -9,7 +9,9 @@ statement rebinds the registry object, in ``install_code_table``.  A third
 keeps memo state in the universe that owns it: the only process-wide
 ``functools`` cache is the one on ``mltest._full_space``.  A fourth keeps one
 spelling of a ``Dyadic``: the only f-string that reads both a ``.num`` and a
-``.scale`` is the one in ``Dyadic.__str__``.
+``.scale`` is the one in ``Dyadic.__str__``.  A fifth keeps the reference
+interpreter in ``tests/reference.py`` independent of the engine it checks: it
+imports nothing from ``randlab``.
 """
 
 from __future__ import annotations
@@ -182,3 +184,34 @@ def test_one_f_string_spells_a_dyadic() -> None:
         for owner in dyadic_spellings(ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert found == [("bitstr.py", "Dyadic.__str__")]
+
+
+REFERENCE = Path(__file__).with_name("reference.py")
+
+
+def randlab_imports(tree: ast.AST) -> list[str]:
+    """The module named by every import of randlab or of its submodules."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append(node.module or "")
+    return [name for name in names if name.split(".")[0] == "randlab"]
+
+
+def test_the_lint_sees_every_randlab_import() -> None:
+    snippet = (
+        "import randlab\nimport os, randlab.machine as m\nfrom randlab import machine\n"
+        "from randlab.bitstr import index_to_string\ndef f():\n    import randlab.cli\n"
+    )
+    assert randlab_imports(ast.parse(snippet)) == [
+        "randlab", "randlab.machine", "randlab", "randlab.bitstr", "randlab.cli"
+    ]
+    unrelated = "import os\nfrom itertools import count\nrandlab = 'randlab.machine'\n"
+    assert randlab_imports(ast.parse(unrelated)) == []
+
+
+def test_the_reference_imports_nothing_from_randlab() -> None:
+    # it checks the engine only while it shares none of the engine's code
+    assert randlab_imports(ast.parse(REFERENCE.read_text(encoding="utf-8"))) == []

@@ -1,13 +1,21 @@
 """Machine substrate: decoding, budgeted runs, U, the guard, V, dovetailing.
 
 Cost fixtures are hand-traced from the documented cost model before being
-frozen here; each trace is spelled out next to its assertion.
+frozen here; each trace is spelled out next to its assertion.  Beyond them,
+`tests/reference.py` interprets the same cost model with none of the
+engine's code, and the engine must halt exactly where the reference halts,
+at the same cost with the same output: on every U and V program up to
+length 10, every pair input up to length 10, the frontier programs and
+random decoded tables.  The reference proves no divergence, so the engine's
+answers on those grids and its cold witness tables are also pinned by sha256
+digest.
 """
 
 from __future__ import annotations
 
 import functools
 import gc
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -42,6 +50,7 @@ from randlab.machine import (
 )
 from randlab.mltest import ml_to_kc_decoder, registered_tests, sense1_to_sense2
 from randlab.prefixfree import is_prefix_free
+from reference import PAIR, Reference
 
 BIG = 100_000
 
@@ -538,44 +547,15 @@ def test_v_halted_set_is_prefix_free(len_limit, budget) -> None:
 
 
 # ---------------------------------------------------------------------------
-# the pair machine against its round loop
+# the engine against the reference, and its answers pinned
 # ---------------------------------------------------------------------------
-
-
-class RoundLoopContext(machine._Context):
-    """The pair machine as first written, kept as the oracle: rounds
-    t = 1, 2, 4, ... ask both halves of every split at cap t until some
-    split has both halves halting within t."""
-
-    def _pair_status(self, s: str, cap: int):
-        key = ("pair", s)
-        hit = machine._cached(self._machine, key, cap)
-        if hit is not None:
-            return hit
-        base = len(s) + 1
-        status = None
-        t = 1
-        while 2 * t + base <= cap and status is None:
-            for i in range(len(s) + 1):
-                left = self.v_status(s[:i], t)
-                if left[0] != "h":
-                    continue
-                right = self.v_status(s[i:], t)
-                if right[0] != "h":
-                    continue
-                status = ("h", 2 * t + i + base, left[2] + right[2])
-                break
-            t *= 2
-        if status is None:
-            if cap >= 2 and all(
-                self.v_status(s[:i], cap - 1)[0] == "d"
-                or self.v_status(s[i:], cap - 1)[0] == "d"
-                for i in range(len(s) + 1)
-            ):
-                status = ("d",)
-            else:
-                status = ("u", cap)
-        return machine._settle(self._machine, key, status, cap)
+# tests/reference.py interprets the docstring's cost table with none of the
+# engine's code.  It proves no divergence, so it checks halts only: each
+# engine "h" is its (cost, output), and no engine "d" or "u" at cap c halts
+# there within c.  Which programs read "d" and which "u" decides frontiers
+# and `exhaustive` flags, so the engine's answers on the same grids are
+# pinned by sha256 as well.  A change that moves a pin on purpose names the
+# old and the new digest in CHANGES.md.
 
 
 def pair_caps(s: str) -> list[int]:
@@ -584,122 +564,154 @@ def pair_caps(s: str) -> list[int]:
     return [0, 1, 2] + [2 * t + len(s) + 1 + e for t in rounds for e in (-1, 0)] + [BIG]
 
 
-@pytest.mark.parametrize("len_limit", [10, 13])
-def test_pair_statuses_match_the_round_loop(len_limit) -> None:
-    # every pair input up to length 10, its caps asked rising and falling in
-    # a context of its own, and in a fresh context per query (the first
-    # rising and the first falling query, at 0 and BIG, are fresh already)
-    def engines():
-        return machine._Context(len_limit, ()), RoundLoopContext(len_limit, ())
-
-    halted = 0
-    for s in all_strings(10):
-        caps = pair_caps(s)
-        rising, falling = engines(), engines()
-        for cap in caps:
-            new, old = (ctx._pair_status(s, cap) for ctx in rising)
-            assert new == old, ("rising", s, cap)
-            halted += new[0] == "h"
-        for cap in reversed(caps):
-            new, old = (ctx._pair_status(s, cap) for ctx in falling)
-            assert new == old, ("falling", s, cap)
-        for cap in caps[1:-1]:
-            new, old = (ctx._pair_status(s, cap) for ctx in engines())
-            assert new == old, ("fresh", s, cap)
-    assert halted > 0
-
-
-# ---------------------------------------------------------------------------
-# two status memos against the four the engine first kept
-# ---------------------------------------------------------------------------
-
-
-class FourMemoContext(machine._Context):
-    """The status engine as first written, kept as the oracle: besides
-    _machine and _v, U kept a memo per input and the guard one per
-    (machine, input), each through the same memo rule."""
-
-    def __init__(self, len_limit: int, code_table):
-        super().__init__(len_limit, code_table)
-        self._guard: dict = {}
-        self._u: dict = {}
-
-    def guard_status(self, behavior, b: str, cap: int):
-        if behavior.kind == "decoded-table" and behavior.table is None:
-            return ("d",)
-        key = (behavior, b)
-        hit = machine._cached(self._guard, key, cap)
-        if hit is not None:
-            return hit
-        finite = None
-        if behavior.kind == "mapping":
-            finite = dict(behavior.mapping)
-        elif behavior.kind == "registry-native" and behavior.registry_id == machine.REG_CODE_TABLE:
-            finite = dict(self.code_table)
-        if finite is not None:
-            status = self._unclipped_guard_finite(finite, b)
-        else:
-            status = self._guard_walk(behavior, b, cap)
-        return machine._settle(self._guard, key, status, cap)
-
-    def _unclipped_guard_finite(self, table, b: str):
-        best = None
-        for c, out in table.items():
-            if not (b.startswith(c) or (c.startswith(b) and len(c) <= self.len_limit)):
-                continue
-            j = string_to_index(c)
-            cand = (j + len(c) + len(out) + 1, j, c, out)
-            if best is None or cand < best:
-                best = cand
-        if best is None or best[2] != b:
-            return ("d",)
-        return ("h", best[0], best[3])
-
-    def u_status(self, inp: str, cap: int):
-        hit = machine._cached(self._u, inp, cap)
-        if hit is not None:
-            return hit
-        return machine._settle(self._u, inp, self._dispatch(self.m_status, inp, cap), cap)
+def cap_runs(caps: list[int]):
+    # rising and falling in a context of their own, and each inner cap in a
+    # fresh context (the first rising and falling queries are fresh already)
+    return (caps, caps[::-1], *([cap] for cap in caps[1:-1]))
 
 
 # index 4 dispatches on "11110", so V programs up to length 10 reach it
 CODE_TABLE = (("0", "1"), ("10", ""), ("110", "0101"), ("111", "1"))
 
 
-def status_grid(context, len_limit: int, code_table):
-    # every program up to length 10 on the pair test's cap ladder, asked of
-    # U and V alike, rising and falling in a context of its own, and in a
-    # fresh context per query (the first rising and the first falling
-    # queries, at 0 and BIG, are fresh already); yields (prog, cap, (U, V))
+def status_grid(len_limit: int, code_table=()):
+    # every program up to length 10 on its pair cap ladder, asked of U and V
     for prog in all_strings(10):
-        caps = pair_caps(prog)
-        for run in (caps, caps[::-1], *([cap] for cap in caps[1:-1])):
-            ctx = context(len_limit, code_table)
+        for caps in cap_runs(pair_caps(prog)):
+            ctx = machine._Context(len_limit, code_table)
+            for cap in caps:
+                yield "U", prog, cap, ctx.u_status(prog, cap)
+                yield "V", prog, cap, ctx.v_status(prog, cap)
+
+
+def pair_grid(len_limit: int):
+    # every pair input up to length 10 on its cap ladder
+    for s in all_strings(10):
+        for caps in cap_runs(pair_caps(s)):
+            ctx = machine._Context(len_limit, ())
+            for cap in caps:
+                yield "pair", s, cap, ctx._pair_status(s, cap)
+
+
+# the programs left unresolved at budget BIG by the cold prefix table at 12
+FRONTIER_12 = ("11011011011", "110011011011", "110110110110")
+# and at 13
+FRONTIER_13 = (
+    "11011011011", "110011011011", "110110011011", "110110110011", "110110110110",
+    "1100110011011", "1100110110011", "1100110110110", "1101100110110",
+    "1101101100110", "1101101101100", "1101101101101",
+)
+FRONTIERS = {12: (FRONTIER_12, MEMO_CAPS), 13: (FRONTIER_13, fibonacci_caps(10_946) + [BIG])}
+
+
+def frontier_grid(len_limit: int):
+    # a guard walk on these programs meets a comparable still "u" with no
+    # halt before it, so that "u", and not a "d", decides the result; rising
+    # and falling in one context, then each cap in a fresh context
+    progs, caps = FRONTIERS[len_limit]
+    for prog in progs:
+        for run in (caps, caps[::-1], *([cap] for cap in caps)):
+            ctx = machine._Context(len_limit, ())
             for cap in run:
-                yield prog, cap, (ctx.u_status(prog, cap), ctx.v_status(prog, cap))
+                yield "V", prog, cap, ctx.v_status(prog, cap)
+
+
+# sha256 of the engine's rows on each grid; the status and pair grids answer
+# alike at len_limit 10 and 13
+STATUS_NO_TABLE_PIN = "3fa0950c291559168427a688d38a7b5c7558c7eae64f5302a4ecadda2301854c"
+STATUS_TABLE_PIN = "8ef49b11ce4b9735923d344021b7e866afe30143f13764b9b4a0f400186180c1"
+PAIR_PIN = "8bd7d857e916624f95b1d3c52e9c044adc8e894c251a8a65f1c8d00b59094f5e"
+FRONTIER_12_PIN = "4e9dc5e52ff78dd45892617fa1c4a27d7d9da587b066203e196b546a7c8d9a7d"
+FRONTIER_13_PIN = "561f8e99909a51ffc4fccb7eae1c127a8b1eaddd869c60d9e21988e0e72132cd"
+GRIDS = {  # name: (grid, its arguments, pin)
+    "status-10-no-table": (status_grid, (10,), STATUS_NO_TABLE_PIN),
+    "status-10-table": (status_grid, (10, CODE_TABLE), STATUS_TABLE_PIN),
+    "status-13-no-table": (status_grid, (13,), STATUS_NO_TABLE_PIN),
+    "status-13-table": (status_grid, (13, CODE_TABLE), STATUS_TABLE_PIN),
+    "pair-10": (pair_grid, (10,), PAIR_PIN),
+    "pair-13": (pair_grid, (13,), PAIR_PIN),
+    "frontier-12": (frontier_grid, (12,), FRONTIER_12_PIN),
+    "frontier-13": (frontier_grid, (13,), FRONTIER_13_PIN),
+}
 
 
 @functools.cache
-def engine_grid(len_limit: int, code_table) -> list:
-    """The current engine's answers on the grid, computed once per universe
-    for all the oracles compared with it; equal answers share one tuple."""
+def engine_rows(name: str) -> list:
+    """(machine, input, cap, the engine's status) on a grid, computed once
+    for its pin and its reference check; equal statuses share one tuple."""
+    grid, args, _ = GRIDS[name]
     seen: dict = {}
-    grid = status_grid(machine._Context, len_limit, code_table)
-    answers = [seen.setdefault(answer, answer) for _, _, answer in grid]
-    assert {status[0] for answer in answers for status in answer} == {"h", "d", "u"}
-    return answers
+    return [(*row[:3], seen.setdefault(row[3], row[3])) for row in grid(*args)]
 
 
-def assert_same_statuses(oracle, len_limit: int, code_table) -> None:
-    grid = status_grid(oracle, len_limit, code_table)
-    for (prog, cap, old), new in zip(grid, engine_grid(len_limit, code_table), strict=True):
-        assert new == old, (prog, cap)
+def digest(rows) -> str:
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(repr(row).encode() + b"\n")
+    return h.hexdigest()
 
 
-@pytest.mark.parametrize("len_limit", [10, 13])
-@pytest.mark.parametrize("code_table", [(), CODE_TABLE], ids=["no-table", "table"])
-def test_statuses_match_the_four_memo_engine(len_limit, code_table) -> None:
-    assert_same_statuses(FourMemoContext, len_limit, code_table)
+@pytest.mark.parametrize("name", GRIDS)
+def test_engine_grid_matches_its_pin(name) -> None:
+    assert digest(engine_rows(name)) == GRIDS[name][2]
+
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_engine_grid_agrees_with_the_reference(name) -> None:
+    ref = Reference(*GRIDS[name][1])
+    runs = {"U": ref.u, "V": ref.v, "pair": functools.partial(ref.machine, PAIR)}
+    for what, inp, cap, status in engine_rows(name):
+        halt = status[1:] if status[0] == "h" else None
+        assert runs[what](inp, cap) == halt, (what, inp, cap, status)
+
+
+@pytest.mark.parametrize("prefix,len_limit", [(False, 12), (True, 13)], ids=["plain", "prefix"])
+def test_cold_witness_tables_match_their_pin(prefix, len_limit) -> None:
+    with fresh_universes():
+        table, frontier = _witness_table(prefix, len_limit, BIG)
+    assert (len(table), frontier) == ((39, "11011011011") if prefix else (4735, None))
+    assert digest([*table.items(), frontier]) == (
+        "3b1813e16103d05b750ac3c263b6c363322775fd203219673dfdf595c1533569"
+        if prefix
+        else "b0bd9d2fd80f34dee62b65c103ed59a583987628951f5633bec00c50be6995e4"
+    )
+
+
+def random_table(rng: random.Random) -> str:
+    # a well-formed table: next state <= the state count, write symbol <= 2
+    states = rng.randrange(1, 5)
+    fields = (
+        f"{rng.randrange(states + 1):03b}{rng.randrange(3):02b}{rng.randrange(2)}"
+        for _ in range(3 * states)
+    )
+    return f"{states - 1:02b}" + "".join(fields)
+
+
+def test_decoded_tables_agree_with_the_reference() -> None:
+    # random well-formed tables, and as many random bit strings of a table's
+    # length (nearly all malformed), on random inputs at caps around the halt
+    rng = random.Random(2405)
+    ref = Reference(DEFAULT_LEN_LIMIT)
+    halted = 0
+    for k in range(600):
+        bits = random_table(rng)
+        if k % 2:
+            bits = "".join(rng.choice("01") for _ in bits)
+        m = table_index(bits)
+        for _ in range(4):
+            inp = "".join(rng.choice("01") for _ in range(rng.randrange(0, 8)))
+            long_run = ref.machine(m, inp, 1000)
+            halted += long_run is not None
+            for cap in [0, 1, 2, 5, 1000] + ([long_run[0] - 1, long_run[0]] if long_run else []):
+                out = run(decode_machine(m), inp, cap)
+                halt = (out.steps_used, out.output) if out.halted else None
+                assert halt == ref.machine(m, inp, cap), (bits, inp, cap)
+    assert halted > 300
+
+
+# ---------------------------------------------------------------------------
+# two status memos, and the work they save
+# ---------------------------------------------------------------------------
 
 
 def shifted(outcome, n: int):
@@ -751,67 +763,6 @@ def test_engine_keeps_two_status_memos() -> None:
     ]
 
 
-# ---------------------------------------------------------------------------
-# the pruned pair machine against the engine that asked every split twice
-# ---------------------------------------------------------------------------
-
-
-class TwoPassContext(machine._Context):
-    """The pair machine before it skipped the splits proven dead, kept as
-    the oracle: its divergence pass at cap - 1 asks every split again."""
-
-    def _pair_status(self, s: str, cap: int):
-        key = ("pair", s)
-        hit = machine._cached(self._machine, key, cap)
-        if hit is not None:
-            return hit
-        # a halting cost is cap-free, so ask each half once, at the last round
-        base = len(s) + 1
-        room = (cap - base) // 2  # rounds t <= room fit under the cap
-        top = 1 << (room.bit_length() - 1) if room > 0 else 0
-        wins = []
-        for i in range(len(s) + 1 if top else 0):
-            left = self.v_status(s[:i], top)
-            right = self.v_status(s[i:], top) if left[0] == "h" else left
-            if right[0] == "h":
-                t = 1 << (max(left[1], right[1], 1) - 1).bit_length()
-                wins.append((t, i, left[2] + right[2]))
-        if wins:
-            t, i, out = min(wins)
-            status = ("h", 2 * t + i + base, out)
-        elif cap >= 2 and all(
-            self.v_status(s[:i], cap - 1)[0] == "d"
-            or self.v_status(s[i:], cap - 1)[0] == "d"
-            for i in range(len(s) + 1)
-        ):
-            status = ("d",)
-        else:
-            status = ("u", cap)
-        return machine._settle(self._machine, key, status, cap)
-
-
-@pytest.mark.parametrize("len_limit", [10, 13])
-@pytest.mark.parametrize("code_table", [(), CODE_TABLE], ids=["no-table", "table"])
-def test_statuses_match_the_two_pass_engine(len_limit, code_table) -> None:
-    assert_same_statuses(TwoPassContext, len_limit, code_table)
-
-
-def assert_same_cold_witness_table(oracle, prefix: bool, len_limit: int, monkeypatch) -> None:
-    def cold_table(context):
-        monkeypatch.setattr(machine, "_Context", context)
-        with fresh_universes():
-            return _witness_table(prefix, len_limit, BIG)
-
-    table, frontier = cold_table(machine._Context)
-    assert (table, frontier) == cold_table(oracle)
-    assert (len(table), frontier) == ((39, "11011011011") if prefix else (4735, None))
-
-
-@pytest.mark.parametrize("prefix,len_limit", [(False, 12), (True, 13)], ids=["plain", "prefix"])
-def test_cold_witness_tables_match_the_two_pass_engine(prefix, len_limit, monkeypatch) -> None:
-    assert_same_cold_witness_table(TwoPassContext, prefix, len_limit, monkeypatch)
-
-
 class CountingContext(machine._Context):
     """Counts the V queries, pair evaluations and guard walks made through
     it, recursive ones included."""
@@ -836,7 +787,7 @@ class CountingContext(machine._Context):
 def test_cold_prefix_table_skips_the_splits_proven_dead(monkeypatch) -> None:
     # 174,290 V queries when the divergence pass asked every split again,
     # 99,308 V queries and 66,237 pair evaluations when the split loop and
-    # the guard walk called for every probe (CallEveryProbeContext below),
+    # the guard walk called for every probe,
     # and 29,287 V queries when the divergence pass still called for a half
     # memoized ("d",); reading a memoized ("d",) saves calls, not guard walks.
     # 28,018 V queries, 8,894 pair evaluations and 18,059 guard walks while
@@ -848,184 +799,6 @@ def test_cold_prefix_table_skips_the_splits_proven_dead(monkeypatch) -> None:
     assert 0 < ctx.v_calls <= 16_000
     assert 0 < ctx.pair_calls <= 8_000
     assert ctx.walks == 7_075
-
-
-# ---------------------------------------------------------------------------
-# the guard walk's running bound against the winner tuple it first kept
-# ---------------------------------------------------------------------------
-
-
-class BestTupleWalkContext(machine._Context):
-    """The guard walk as first written, kept as the oracle: it carried the
-    winner as a (d, j, comparable, output) tuple, picked each probe's cap by
-    whether anything had won yet, and compared every halt with the winner."""
-
-    def _guard_walk(self, machine, b: str, cap: int):
-        best = None  # (d, j, comparable, output)
-        unresolved = False
-        for j, c in self._comparables(b):
-            if best is not None and j >= best[0] - 1:
-                break
-            probe = best[0] - 1 - j if best is not None else cap - j
-            if probe <= 0:
-                unresolved = True
-                break
-            st = self.m_status(machine, c, probe)
-            if st[0] == "h":
-                d = j + st[1]
-                if best is None or d < best[0]:
-                    best = (d, j, c, st[2])
-            elif st[0] == "u" and best is None:
-                # halting cost exceeds cap - j, so it cannot finish at a
-                # diagonal <= cap; decidable only at a larger cap
-                unresolved = True
-        if best is None:
-            return ("u", cap) if unresolved else ("d",)
-        if best[2] != b:
-            return ("d",)
-        return ("h", best[0], best[3])
-
-
-@pytest.mark.parametrize("len_limit", [10, 13])
-@pytest.mark.parametrize("code_table", [(), CODE_TABLE], ids=["no-table", "table"])
-def test_statuses_match_the_best_tuple_walk(len_limit, code_table) -> None:
-    assert_same_statuses(BestTupleWalkContext, len_limit, code_table)
-
-
-@pytest.mark.parametrize("prefix,len_limit", [(False, 12), (True, 13)], ids=["plain", "prefix"])
-def test_cold_witness_tables_match_the_best_tuple_walk(prefix, len_limit, monkeypatch) -> None:
-    assert_same_cold_witness_table(BestTupleWalkContext, prefix, len_limit, monkeypatch)
-
-
-# the programs left unresolved at budget BIG by the cold prefix table at 12
-FRONTIER_12 = ("11011011011", "110011011011", "110110110110")
-
-
-@pytest.mark.parametrize("prog", FRONTIER_12)
-def test_frontier_statuses_match_the_best_tuple_walk(prog) -> None:
-    # a guard walk on these programs meets a comparable still "u" with no
-    # halt before it, so that "u", and not a "d", decides the result from
-    # cap 6,765 or 10,946 on; asked in a fresh context per query, and rising
-    # and falling in one context
-    def engines():
-        return machine._Context(12, ()), BestTupleWalkContext(12, ())
-
-    def ask(pair, cap):
-        new, old = (ctx.v_status(prog, cap) for ctx in pair)
-        assert new == old, cap
-        return new
-
-    assert [ask(engines(), cap) for cap in MEMO_CAPS][-1] == ("u", BIG)
-    rising, falling = engines(), engines()
-    for cap in MEMO_CAPS:
-        ask(rising, cap)
-    for cap in reversed(MEMO_CAPS):
-        ask(falling, cap)
-
-
-# ---------------------------------------------------------------------------
-# the probe loops' memo reads against the engine that called for every probe
-# ---------------------------------------------------------------------------
-
-
-class CallEveryProbeContext(machine._Context):
-    """The pair split loop, its divergence pass and the guard walk before
-    they read a memoized ("d",) themselves, kept as the oracle: every probe
-    is a call."""
-
-    def _pair_status(self, s: str, cap: int):
-        key = ("pair", s)
-        hit = machine._cached(self._machine, key, cap)
-        if hit is not None:
-            return hit
-        # a halting cost is cap-free, so ask each half once, at the last round
-        base = len(s) + 1
-        room = (cap - base) // 2  # rounds t <= room fit under the cap
-        top = 1 << (room.bit_length() - 1) if room > 0 else 0
-        wins = []
-        open_splits = [] if top else range(len(s) + 1)  # no half proven "d"
-        for i in range(len(s) + 1 if top else 0):
-            left = self.v_status(s[:i], top)
-            right = self.v_status(s[i:], top) if left[0] == "h" else left
-            if right[0] == "h":
-                t = 1 << (max(left[1], right[1], 1) - 1).bit_length()
-                wins.append((t, i, left[2] + right[2]))
-            elif right[0] == "u":
-                open_splits.append(i)
-        if wins:
-            t, i, out = min(wins)
-            status = ("h", 2 * t + i + base, out)
-        elif cap >= 2 and all(
-            self.v_status(s[:i], cap - 1)[0] == "d"
-            or self.v_status(s[i:], cap - 1)[0] == "d"
-            for i in open_splits
-        ):
-            status = ("d",)
-        else:
-            status = ("u", cap)
-        return machine._settle(self._machine, key, status, cap)
-
-    def _guard_walk(self, machine, b: str, cap: int):
-        # bound is the least finishing diagonal so far (cap + 1 before any
-        # halt); each comparable is probed at bound - 1 - j, so a halt there
-        # finishes below bound and wins, and a tie keeps the lower rank.  A
-        # "u" or the early stop only matters when nothing has won.
-        best, bound, unresolved = None, cap + 1, False
-        for j, c in self._comparables(b):
-            if j >= bound - 1:
-                unresolved = True
-                break
-            st = self.m_status(machine, c, bound - 1 - j)
-            if st[0] == "h":
-                best, bound = (c, st[2]), j + st[1]
-            elif st[0] == "u":
-                unresolved = True
-        if best is None:
-            return ("u", cap) if unresolved else ("d",)
-        return ("h", bound, best[1]) if best[0] == b else ("d",)
-
-
-@pytest.mark.parametrize("len_limit", [10, 13])
-@pytest.mark.parametrize("code_table", [(), CODE_TABLE], ids=["no-table", "table"])
-def test_statuses_match_the_call_every_probe_engine(len_limit, code_table) -> None:
-    assert_same_statuses(CallEveryProbeContext, len_limit, code_table)
-
-
-@pytest.mark.parametrize("prefix,len_limit", [(False, 12), (True, 13)], ids=["plain", "prefix"])
-def test_cold_witness_tables_match_the_call_every_probe_engine(
-    prefix, len_limit, monkeypatch
-) -> None:
-    assert_same_cold_witness_table(CallEveryProbeContext, prefix, len_limit, monkeypatch)
-
-
-# the programs left unresolved at budget BIG by the cold prefix table at 13
-FRONTIER_13 = (
-    "11011011011", "110011011011", "110110011011", "110110110011", "110110110110",
-    "1100110011011", "1100110110011", "1100110110110", "1101100110110",
-    "1101101100110", "1101101101100", "1101101101101",
-)
-FRONTIER_CAPS = fibonacci_caps(10_946)  # 0, 1, 2, 3, 5, 8, ..., 6765, 10946
-
-
-@pytest.mark.parametrize("prog", FRONTIER_13)
-def test_frontier_statuses_match_the_call_every_probe_engine(prog) -> None:
-    # the guard walks on these programs probe pair and pad comparables whose
-    # memos fill as the caps rise; asked in a fresh context per query, and
-    # rising and falling in one context
-    def engines():
-        return machine._Context(13, ()), CallEveryProbeContext(13, ())
-
-    def ask(pair, cap):
-        new, old = (ctx.v_status(prog, cap) for ctx in pair)
-        assert new == old, cap
-        return new
-
-    assert [ask(engines(), cap) for cap in FRONTIER_CAPS][-1] == ("u", 10_946)
-    rising, falling = engines(), engines()
-    for cap in FRONTIER_CAPS:
-        ask(rising, cap)
-    for cap in reversed(FRONTIER_CAPS):
-        ask(falling, cap)
 
 
 # ---------------------------------------------------------------------------
