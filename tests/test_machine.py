@@ -7,8 +7,10 @@ engine's code, and the engine must halt exactly where the reference halts,
 at the same cost with the same output: on every U and V program up to
 length 10, every pair input up to length 10, the frontier programs and
 random decoded tables.  The reference proves no divergence, so the engine's
-answers on those grids and its cold witness tables are also pinned by sha256
-digest.
+answers on those grids and its cold witness tables are also pinned: by
+sha256 digest, and on the frontier programs in full.  The pins are the
+answers of the five engine forks the reference replaced, and each fork's
+cases check the engine against them under the fork's name.
 """
 
 from __future__ import annotations
@@ -554,7 +556,7 @@ def test_v_halted_set_is_prefix_free(len_limit, budget) -> None:
 # engine "h" is its (cost, output), and no engine "d" or "u" at cap c halts
 # there within c.  Which programs read "d" and which "u" decides frontiers
 # and `exhaustive` flags, so the engine's answers on the same grids are
-# pinned by sha256 as well.  A change that moves a pin on purpose names the
+# pinned as well (below).  A change that moves a pin on purpose names the
 # old and the new digest in CHANGES.md.
 
 
@@ -616,30 +618,28 @@ def frontier_grid(len_limit: int):
                 yield "V", prog, cap, ctx.v_status(prog, cap)
 
 
-# sha256 of the engine's rows on each grid; the status and pair grids answer
+# sha256 of the engine's rows on the status and pair grids, which answer
 # alike at len_limit 10 and 13
 STATUS_NO_TABLE_PIN = "3fa0950c291559168427a688d38a7b5c7558c7eae64f5302a4ecadda2301854c"
 STATUS_TABLE_PIN = "8ef49b11ce4b9735923d344021b7e866afe30143f13764b9b4a0f400186180c1"
 PAIR_PIN = "8bd7d857e916624f95b1d3c52e9c044adc8e894c251a8a65f1c8d00b59094f5e"
-FRONTIER_12_PIN = "4e9dc5e52ff78dd45892617fa1c4a27d7d9da587b066203e196b546a7c8d9a7d"
-FRONTIER_13_PIN = "561f8e99909a51ffc4fccb7eae1c127a8b1eaddd869c60d9e21988e0e72132cd"
-GRIDS = {  # name: (grid, its arguments, pin)
-    "status-10-no-table": (status_grid, (10,), STATUS_NO_TABLE_PIN),
-    "status-10-table": (status_grid, (10, CODE_TABLE), STATUS_TABLE_PIN),
-    "status-13-no-table": (status_grid, (13,), STATUS_NO_TABLE_PIN),
-    "status-13-table": (status_grid, (13, CODE_TABLE), STATUS_TABLE_PIN),
-    "pair-10": (pair_grid, (10,), PAIR_PIN),
-    "pair-13": (pair_grid, (13,), PAIR_PIN),
-    "frontier-12": (frontier_grid, (12,), FRONTIER_12_PIN),
-    "frontier-13": (frontier_grid, (13,), FRONTIER_13_PIN),
+GRIDS = {  # name: (grid, its arguments)
+    "status-10-no-table": (status_grid, (10,)),
+    "status-10-table": (status_grid, (10, CODE_TABLE)),
+    "status-13-no-table": (status_grid, (13,)),
+    "status-13-table": (status_grid, (13, CODE_TABLE)),
+    "pair-10": (pair_grid, (10,)),
+    "pair-13": (pair_grid, (13,)),
+    "frontier-12": (frontier_grid, (12,)),
+    "frontier-13": (frontier_grid, (13,)),
 }
 
 
 @functools.cache
 def engine_rows(name: str) -> list:
     """(machine, input, cap, the engine's status) on a grid, computed once
-    for its pin and its reference check; equal statuses share one tuple."""
-    grid, args, _ = GRIDS[name]
+    for its pins and its reference check; equal statuses share one tuple."""
+    grid, args = GRIDS[name]
     seen: dict = {}
     return [(*row[:3], seen.setdefault(row[3], row[3])) for row in grid(*args)]
 
@@ -651,9 +651,9 @@ def digest(rows) -> str:
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("name", GRIDS)
-def test_engine_grid_matches_its_pin(name) -> None:
-    assert digest(engine_rows(name)) == GRIDS[name][2]
+@functools.cache
+def grid_digest(name: str) -> str:
+    return digest(engine_rows(name))
 
 
 @pytest.mark.parametrize("name", GRIDS)
@@ -663,18 +663,6 @@ def test_engine_grid_agrees_with_the_reference(name) -> None:
     for what, inp, cap, status in engine_rows(name):
         halt = status[1:] if status[0] == "h" else None
         assert runs[what](inp, cap) == halt, (what, inp, cap, status)
-
-
-@pytest.mark.parametrize("prefix,len_limit", [(False, 12), (True, 13)], ids=["plain", "prefix"])
-def test_cold_witness_tables_match_their_pin(prefix, len_limit) -> None:
-    with fresh_universes():
-        table, frontier = _witness_table(prefix, len_limit, BIG)
-    assert (len(table), frontier) == ((39, "11011011011") if prefix else (4735, None))
-    assert digest([*table.items(), frontier]) == (
-        "3b1813e16103d05b750ac3c263b6c363322775fd203219673dfdf595c1533569"
-        if prefix
-        else "b0bd9d2fd80f34dee62b65c103ed59a583987628951f5633bec00c50be6995e4"
-    )
 
 
 def random_table(rng: random.Random) -> str:
@@ -707,6 +695,114 @@ def test_decoded_tables_agree_with_the_reference() -> None:
                 halt = (out.steps_used, out.output) if out.halted else None
                 assert halt == ref.machine(m, inp, cap), (bits, inp, cap)
     assert halted > 300
+
+
+# ---------------------------------------------------------------------------
+# the engine against the answers of its retired forks
+# ---------------------------------------------------------------------------
+# The engine was first checked against five frozen forks of its earlier
+# selves.  Each was a _Context subclass, so it shared _dispatch, _cached,
+# _tm_status and _comparables with the engine and could not see a fault in
+# them; the reference above took their place.  Run on the grids above
+# before they were retired, every fork gave the engine's rows exactly, so
+# each fork's cases now check the engine against those rows: by digest on
+# the status and pair grids and the cold witness tables, and in full on the
+# frontier programs, which read ("u", cap) at every cap.
+
+
+def assert_statuses_pinned(len_limit: int, code_table) -> None:
+    universe = "table" if code_table else "no-table"
+    pin = STATUS_TABLE_PIN if code_table else STATUS_NO_TABLE_PIN
+    assert grid_digest(f"status-{len_limit}-{universe}") == pin
+
+
+@functools.cache
+def cold_witness_table(prefix: bool, len_limit: int):
+    with fresh_universes():
+        return _witness_table(prefix, len_limit, BIG)
+
+
+def assert_cold_witness_table_pinned(prefix: bool, len_limit: int) -> None:
+    table, frontier = cold_witness_table(prefix, len_limit)
+    assert (len(table), frontier) == ((39, "11011011011") if prefix else (4735, None))
+    assert digest([*table.items(), frontier]) == (
+        "3b1813e16103d05b750ac3c263b6c363322775fd203219673dfdf595c1533569"
+        if prefix
+        else "b0bd9d2fd80f34dee62b65c103ed59a583987628951f5633bec00c50be6995e4"
+    )
+
+
+def assert_frontier_unresolved(len_limit: int, prog: str) -> None:
+    rows = [row for row in engine_rows(f"frontier-{len_limit}") if row[1] == prog]
+    assert rows
+    assert [row for row in rows if row[3] != ("u", row[2])] == []
+
+
+@pytest.mark.parametrize("len_limit", [10, 13])
+def test_pair_statuses_match_the_round_loop(len_limit) -> None:
+    # RoundLoopContext, the pair machine as first written: rounds t = 1, 2,
+    # 4, ... asked both halves of every split at cap t until some split had
+    # both halves halting within t
+    assert grid_digest(f"pair-{len_limit}") == PAIR_PIN
+
+
+@pytest.mark.parametrize("len_limit", [10, 13])
+@pytest.mark.parametrize("code_table", [(), CODE_TABLE], ids=["no-table", "table"])
+def test_statuses_match_the_four_memo_engine(len_limit, code_table) -> None:
+    # FourMemoContext, the status engine as first written: besides _machine
+    # and _v, U kept a memo per input and the guard one per (machine, input)
+    assert_statuses_pinned(len_limit, code_table)
+
+
+@pytest.mark.parametrize("len_limit", [10, 13])
+@pytest.mark.parametrize("code_table", [(), CODE_TABLE], ids=["no-table", "table"])
+def test_statuses_match_the_two_pass_engine(len_limit, code_table) -> None:
+    # TwoPassContext, the pair machine before it skipped the splits proven
+    # dead: its divergence pass at cap - 1 asked every split again
+    assert_statuses_pinned(len_limit, code_table)
+
+
+@pytest.mark.parametrize("prefix,len_limit", [(False, 12), (True, 13)], ids=["plain", "prefix"])
+def test_cold_witness_tables_match_the_two_pass_engine(prefix, len_limit) -> None:
+    assert_cold_witness_table_pinned(prefix, len_limit)
+
+
+@pytest.mark.parametrize("len_limit", [10, 13])
+@pytest.mark.parametrize("code_table", [(), CODE_TABLE], ids=["no-table", "table"])
+def test_statuses_match_the_best_tuple_walk(len_limit, code_table) -> None:
+    # BestTupleWalkContext, the guard walk as first written: it carried the
+    # winner as a (d, j, comparable, output) tuple, picked each probe's cap
+    # by whether anything had won yet, and compared every halt with the winner
+    assert_statuses_pinned(len_limit, code_table)
+
+
+@pytest.mark.parametrize("prefix,len_limit", [(False, 12), (True, 13)], ids=["plain", "prefix"])
+def test_cold_witness_tables_match_the_best_tuple_walk(prefix, len_limit) -> None:
+    assert_cold_witness_table_pinned(prefix, len_limit)
+
+
+@pytest.mark.parametrize("prog", FRONTIER_12)
+def test_frontier_statuses_match_the_best_tuple_walk(prog) -> None:
+    assert_frontier_unresolved(12, prog)
+
+
+@pytest.mark.parametrize("len_limit", [10, 13])
+@pytest.mark.parametrize("code_table", [(), CODE_TABLE], ids=["no-table", "table"])
+def test_statuses_match_the_call_every_probe_engine(len_limit, code_table) -> None:
+    # CallEveryProbeContext, the pair split loop, its divergence pass and the
+    # guard walk before they read a memoized ("d",) themselves: every probe
+    # was a call
+    assert_statuses_pinned(len_limit, code_table)
+
+
+@pytest.mark.parametrize("prefix,len_limit", [(False, 12), (True, 13)], ids=["plain", "prefix"])
+def test_cold_witness_tables_match_the_call_every_probe_engine(prefix, len_limit) -> None:
+    assert_cold_witness_table_pinned(prefix, len_limit)
+
+
+@pytest.mark.parametrize("prog", FRONTIER_13)
+def test_frontier_statuses_match_the_call_every_probe_engine(prog) -> None:
+    assert_frontier_unresolved(13, prog)
 
 
 # ---------------------------------------------------------------------------
