@@ -21,6 +21,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import total_ordering
+from itertools import chain
 from typing import Iterator
 
 _ALPHABET = frozenset("01")
@@ -169,9 +170,10 @@ _LOWS = [tuple(bin(m)[3:] for m in range(1 << w, 2 << w)) for w in range(9)]
 
 def _spell(width: int, head: str = "") -> Iterator[str]:
     """head + each width-bit string in order, a high part joined to <= 8 low bits."""
-    low = min(width, len(_LOWS) - 1)
-    for high in range(1 << (width - low), 2 << (width - low)):
-        yield from map((head + bin(high)[3:]).__add__, _LOWS[low])
+    if width < len(_LOWS):
+        return map(head.__add__, _LOWS[width])
+    highs = range(1 << (width - 8), 2 << (width - 8))
+    return chain.from_iterable(map((head + bin(h)[3:]).__add__, _LOWS[8]) for h in highs)
 
 
 def all_strings(max_len: int) -> Iterator[str]:

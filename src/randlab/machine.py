@@ -59,7 +59,7 @@ import hashlib
 import json
 import operator
 from dataclasses import dataclass
-from itertools import count
+from heapq import heappop, heappush, heapreplace
 
 from .bitstr import _check_bits, _spell, index_to_string, string_to_index
 from .prefixfree import is_prefix_free
@@ -243,12 +243,14 @@ class _Context:
     """The status memos _machine (pad and pair) and _v (V) for one
     (len_limit, installed code table) pair; its first-witness tables:
     (prefix, budget) -> complexity's sweep of that table, which advances a
-    length at a time; and its dovetail replay: events in
-    ordinal order, masses[k] = the first k events' Kraft mass times
-    2^len_limit, and the pair (ordinal, diagonal, j) where it stopped."""
+    length at a time; and its dovetail replay: events in ordinal order,
+    masses[k] = the first k events' Kraft mass times 2^len_limit, the
+    ordinal where it stopped, and the due ranks, a heap in ordinal order of
+    (diagonal, rank j, program) at the first cap, diagonal - j, that the
+    program's _v entry does not answer.  Only ranks up to len_limit join."""
 
     __slots__ = ("len_limit", "code_table", "tables", "events", "masses", "replay_at",
-                 "_programs", "_machine", "_v")
+                 "_due", "_machine", "_v")
 
     def __init__(self, len_limit: int, code_table: tuple[tuple[str, str], ...]):
         self.len_limit = len_limit
@@ -256,8 +258,8 @@ class _Context:
         self.tables: dict[tuple[bool, int], object] = {}
         self.events: list[DovetailEvent] = []
         self.masses = [0]
-        self.replay_at = (0, 1, 0)
-        self._programs = [""]  # index_to_string(j) for every rank j replayed
+        self.replay_at = 0
+        self._due = [(1, 0, "")]  # rank 0 joins at diagonal 1
         self._machine: dict = {}
         self._v: dict = {}
 
@@ -347,14 +349,22 @@ class _Context:
 
     # -- the prefix guard ---------------------------------------------------
 
-    def _comparables(self, b: str):
+    def _comparables(self, b: str, limit: int):
+        """(rank, c) for each c comparable with b, through the first rank >= limit."""
         rank = 0
         yield 0, ""
         for k in range(1, len(b) + 1):
+            if rank >= limit:
+                return
             rank = 2 * rank + (2 if b[k - 1] == "1" else 1)
             yield rank, b[:k]
+        last = rank
         for width in range(1, self.len_limit - len(b) + 1):
-            yield from zip(count(((rank + 1) << width) - 1), _spell(width, b))
+            if last >= limit:
+                return
+            start = ((rank + 1) << width) - 1
+            last = max(start, min(start + (1 << width) - 1, limit))
+            yield from zip(range(start, last + 1), _spell(width, b))
 
     def guard_status(self, machine: MachineBehavior, b: str, cap: int):
         if machine.kind == "decoded-table" and machine.table is None:
@@ -386,7 +396,7 @@ class _Context:
         # "u" or the early stop only matters when nothing has won.
         tag = {REG_PAD: "pad", REG_PAIR: "pair"}.get(machine.registry_id)
         best, bound, unresolved = None, cap + 1, False
-        for j, c in self._comparables(b):
+        for j, c in self._comparables(b, cap):
             if j >= bound - 1:
                 unresolved = True
                 break
@@ -430,22 +440,31 @@ class _Context:
     # -- the dovetail replay -------------------------------------------------
 
     def advance(self, stage: int) -> bool:
-        """Replay on to the next event or to ordinal `stage`; True on an event."""
-        ordinal, diagonal, j = self.replay_at
-        while ordinal < stage:
-            if j == diagonal:
-                diagonal, j = diagonal + 1, 0
-                self._programs.append(index_to_string(diagonal - 1))
-            prog, s = self._programs[j], diagonal - j
-            st = self.v_status(prog, s)
-            ordinal, j = ordinal + 1, j + 1
-            if st[0] == "h" and st[1] == s:
-                self.replay_at = (ordinal, diagonal, j)
-                outcome = BudgetedOutcome("halted", st[2], s, s)
-                self.events.append(DovetailEvent(prog, ordinal - 1, outcome))
+        """Ask the due ranks on to the next event or to ordinal `stage`; True on
+        an event.  Every other pair is a memo hit, which writes nothing."""
+        due, v, ranks = self._due, self._v, (2 << self.len_limit) - 1
+        while due:
+            diagonal, j, prog = due[0]
+            ordinal = diagonal * (diagonal - 1) // 2 + j
+            if ordinal >= stage:
+                break
+            if j + 1 == diagonal < ranks:  # rank j's first pair: rank j + 1 joins next
+                heappush(due, (diagonal + 1, diagonal, index_to_string(diagonal)))
+            s = diagonal - j
+            if _cached(v, prog, s) is None:  # only a memo miss is asked
+                self.v_status(prog, s)
+            entry = v[prog]
+            if entry[0] == "u" or entry[0] == "h" and entry[1] > s:
+                heapreplace(due, (j + entry[1] + (entry[0] == "u"), j, prog))
+                continue
+            heappop(due)  # settled: V diverges, or first halts on prog here
+            if entry[0] == "h":
+                self.replay_at = ordinal + 1
+                outcome = BudgetedOutcome("halted", entry[2], s, s)
+                self.events.append(DovetailEvent(prog, ordinal, outcome))
                 self.masses.append(self.masses[-1] + (1 << (self.len_limit - len(prog))))
                 return True
-        self.replay_at = (ordinal, diagonal, j)
+        self.replay_at = max(self.replay_at, stage)
         return False
 
     def events_below(self, stage: int):
@@ -595,7 +614,8 @@ def dovetail_events(stage: int, len_limit: int = DEFAULT_LEN_LIMIT):
     Pairs (program rank j, step budget s >= 1) are visited along diagonals
     d = j + s ascending, by j within a diagonal; the pair at ordinal
     d(d-1)/2 + j reports a DovetailEvent exactly when V first halts there,
-    i.e. when its halting cost equals s.  Each universe replays a pair once.
+    i.e. when its halting cost equals s.  Each universe keeps one replay,
+    which asks V only about the pairs its memo cannot answer.
     """
     return _context(len_limit).events_below(_check_stage(stage))
 

@@ -29,10 +29,11 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice
 from typing import Callable
 
-from .bitstr import DYADIC_ONE, DYADIC_ZERO, Dyadic, _check_bits, all_strings, index_to_string
+from .bitstr import (
+    DYADIC_ONE, DYADIC_ZERO, Dyadic, _check_bits, _spell, all_strings, index_to_string
+)
 from .complexity import _compressible, prefix_k
 from .machine import DEFAULT_BUDGET, REG_CODE_TABLE, install_code_table
 from .prefixfree import _minimal, cover_measure, kraft_code
@@ -161,11 +162,10 @@ def _event(t: Sense1Test, least: int, d: int) -> list[str]:
     bisects each length's level order and spells only what it returns."""
     levels, blocks, key = t._levels, t._by_level, t._levels.__getitem__
     d = max(d, -1)  # every negative depth holds no strings
-    if len(blocks) <= d:
-        levels.extend(map(t.evaluate, islice(all_strings(d), len(levels), None)))
-        for n in range(len(blocks), d + 1):
-            defined = [r for r in range((1 << n) - 1, (2 << n) - 1) if levels[r] is not None]
-            blocks.append(array("q", sorted(defined, key=key)))
+    for n in range(len(blocks), d + 1):  # spell only the lengths the table lacks
+        levels[(1 << n) - 1 :] = map(t.evaluate, _spell(n))
+        defined = [r for r in range((1 << n) - 1, (2 << n) - 1) if levels[r] is not None]
+        blocks.append(array("q", sorted(defined, key=key)))
     found = (sorted(ranks[bisect_left(ranks, least, key=key) :]) for ranks in blocks[: d + 1])
     return [index_to_string(r) for ranks in found for r in ranks]
 

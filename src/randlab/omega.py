@@ -10,12 +10,15 @@ this machine, so estimates carry the registry fingerprint.
 
 Each universe keeps one dovetail replay, shared by every function here and
 extended only on demand: its events in ordinal order and their running Kraft
-masses.  A stage's bound and halted_below read the events through
-dovetail_events and sum them with kraft_sum.  psi_reconstruct bisects the
-masses for the first event whose mass exceeds a candidate lower-bound prefix
-read as a dyadic value, and reports the halted programs no longer than it.
-When the value really is a lower-bound prefix of the halting probability,
-every program of that length class must have appeared by the crossing point.
+masses.  Once V halts or provably diverges on every program up to
+len_limit, the universe is settled: any later stage returns at once, with
+the exact halting probability of those programs.  A stage's bound and
+halted_below read the events through dovetail_events and sum them with
+kraft_sum.  psi_reconstruct bisects the masses for the first event whose
+mass exceeds a candidate lower-bound prefix read as a dyadic value, and
+reports the halted programs no longer than it.  When the value really is a
+lower-bound prefix of the halting probability, every program of that length
+class must have appeared by the crossing point.
 """
 
 from __future__ import annotations

@@ -258,6 +258,22 @@ def test_omega_until_mass(capsys):
     assert code == 1 and "never exceeds" in err
 
 
+def test_omega_until_mass_in_a_settled_universe_returns_at_once():
+    # at len_limit 0 V diverges on every program, so the replay settles
+    # before its first pair and the stage is reached without asking; a
+    # subprocess keeps this process's universes out of it
+    env = {**os.environ, "PYTHONPATH": str(Path(randlab.__file__).parents[1])}
+    argv = ["omega", "--until-mass", "1", "--stage", str(10**12), "--len-limit", "0"]
+    done = subprocess.run(
+        [sys.executable, "-m", "randlab.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr == (
+        f"randlab: halted mass within {10**12} stages never exceeds the threshold 1\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # mltest reports
 # ---------------------------------------------------------------------------

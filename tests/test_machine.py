@@ -22,6 +22,7 @@ import itertools
 import random
 import tracemalloc
 import weakref
+from collections import Counter
 from dataclasses import astuple
 
 import pytest
@@ -946,27 +947,63 @@ def string_indexed_comparables(b: str, len_limit: int):
             yield start + off, b + format(off, f"0{width}b")
 
 
+BEYOND = 1 << 64  # past every rank up to len_limit 62
+
+
 @pytest.mark.parametrize("len_limit", [10, 12])
 def test_comparables_match_the_string_indexed_oracle(len_limit) -> None:
     ctx = machine._Context(len_limit, ())
     for b in all_strings(10):
-        assert list(ctx._comparables(b)) == list(string_indexed_comparables(b, len_limit)), b
+        got = list(ctx._comparables(b, BEYOND))
+        assert got == list(string_indexed_comparables(b, len_limit)), b
 
 
 def test_comparables_stay_lazy_on_long_limits() -> None:
     # subadd's contexts walk extensions up to width 26; never hold a level
     ctx = machine._Context(20, ())
     for b in all_strings(4):
-        got = itertools.islice(ctx._comparables(b), 5000)
+        got = itertools.islice(ctx._comparables(b, BEYOND), 5000)
         assert list(got) == list(itertools.islice(string_indexed_comparables(b, 20), 5000)), b
     ctx = machine._Context(60, ())
     for b in ("", "0", "1101"):
-        extensions = itertools.islice(ctx._comparables(b), len(b) + 1, None)
+        extensions = itertools.islice(ctx._comparables(b, BEYOND), len(b) + 1, None)
         assert next(extensions) == (string_to_index(b + "0"), b + "0")
     deep = "0" * 59  # one bit short of the limit: one level of extensions
-    assert list(ctx._comparables(deep))[-2:] == [
+    assert list(ctx._comparables(deep, BEYOND))[-2:] == [
         (string_to_index(deep + "0"), deep + "0"), (string_to_index(deep + "1"), deep + "1")
     ]
+
+
+def through_first_at_or_past(pairs, limit: int) -> list:
+    out = []
+    for j, c in pairs:
+        out.append((j, c))
+        if j >= limit:
+            break
+    return out
+
+
+def test_bounded_comparables_stop_at_the_first_rank_at_or_past_the_limit(monkeypatch) -> None:
+    # the guard walk breaks at that rank, so no string past it is spelled
+    spelled = Counter()
+    real = machine._spell
+
+    def spy(width, head=""):
+        for c in real(width, head):
+            spelled[width] += 1
+            yield c
+
+    monkeypatch.setattr(machine, "_spell", spy)
+    ctx = machine._Context(12, ())
+    limits = [0, 1, 2, 5, 6, 7, 30, 100, 1000, 4000, 8189, 8190, BEYOND]
+    for b in all_strings(6):
+        for limit in limits:
+            spelled.clear()
+            got = list(ctx._comparables(b, limit))
+            expected = through_first_at_or_past(string_indexed_comparables(b, 12), limit)
+            assert got == expected, (b, limit)
+            widths = Counter(len(c) - len(b) for _, c in got if len(c) > len(b))
+            assert spelled == widths, (b, limit)
 
 
 class CapSpyContext(machine._Context):

@@ -555,6 +555,27 @@ def test_a_warm_event_spells_only_what_it_returns(monkeypatch):
         assert t._levels.reads <= max(d + 1, 0) * 17, (least, d)
 
 
+def test_extending_a_table_spells_only_the_lengths_it_lacks(monkeypatch):
+    # it once re-spelled every shorter string to skip it: 722,997 strings
+    # on ml-battery's seed-0 ops outside the CLI, against 491,515 now
+    spelled = Counter()
+    real = mltest._spell
+
+    def counting(width, head=""):
+        for b in real(width, head):
+            spelled["strings"] += 1
+            yield b
+
+    monkeypatch.setattr(mltest, "_spell", counting)
+    for a, b in [(-1, -1), (-1, 0), (-1, 12), (0, 1), (3, 9), (9, 15), (14, 14), (14, 6)]:
+        t = fresh(registered_tests()["leading-zeros"])
+        _event(t, 0, a)
+        spelled.clear()
+        _event(t, 0, b)
+        assert spelled["strings"] == max((1 << (b + 1)) - (1 << (a + 1)), 0), (a, b)
+        assert len(t._levels) == (1 << (max(a, b) + 1)) - 1
+
+
 def test_level_zero_is_one_shared_set_per_depth():
     t = registered_tests()["even-ones"]
     first = sense1_to_sense2(t, 14).enumerate(0, 14)

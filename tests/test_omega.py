@@ -2,9 +2,10 @@
 
 Two oracles: brute_halted recomputes each stage's halted set directly from
 the runner API and the dovetail ordinal formula, without going through the
-dovetailer; replay_events is the dovetailer as first written, replaying every
-pair from 0 in a fresh universe, against which the shared, resumable replay
-is checked for stages asked in any order.
+dovetailer; replay_events is the dovetailer as first written, asking V about
+every pair from 0, against which the shared, resumable replay of due ranks
+is checked for stages asked in any order: its events, and the memos it
+leaves behind.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from conftest import fresh_universes
 from randlab import machine, omega
 from randlab.bitstr import DYADIC_ZERO, Dyadic, bits_of, index_to_string, value_of
+from randlab.complexity import plain_c, prefix_k
 from randlab.machine import (
     BudgetedOutcome,
     DovetailEvent,
@@ -227,10 +229,11 @@ REPLAY_LIMITS = [6, 8, 10, 12]
 REPLAY_TOP = 2**16
 
 
-def replay_events(stage: int, len_limit: int) -> list[DovetailEvent]:
-    """The dovetailer as first written, kept as the oracle: every call
-    replays the pairs from ordinal 0, here in a universe of its own."""
-    ctx = machine._Context(len_limit, ())
+def replay_events(stage: int, len_limit: int, ctx=None):
+    """The dovetailer as first written, kept as the oracle: every call asks
+    V about every pair from ordinal 0, in `ctx` or else a universe of its
+    own; return the events and the universe."""
+    ctx = ctx or machine._Context(len_limit, ())
     events = []
     ordinal = 0
     diagonal = 1
@@ -245,12 +248,12 @@ def replay_events(stage: int, len_limit: int) -> list[DovetailEvent]:
                 events.append(DovetailEvent(prog, ordinal, BudgetedOutcome("halted", status[2], s, s)))
             ordinal += 1
         diagonal += 1
-    return events
+    return events, ctx
 
 
 @lru_cache(maxsize=None)
 def oracle_events(len_limit: int) -> tuple[DovetailEvent, ...]:
-    return tuple(replay_events(REPLAY_TOP, len_limit))
+    return tuple(replay_events(REPLAY_TOP, len_limit)[0])
 
 
 def oracle_psi(a: str, events: list[DovetailEvent]) -> frozenset[str] | None:
@@ -318,4 +321,109 @@ def test_replay_extends_only_as_far_as_consumed() -> None:
     with fresh_universes():
         assert psi_reconstruct("", 10**15) == frozenset()
         assert next(dovetail_events(10**15)).program == "0"
-        assert machine._context(machine.DEFAULT_LEN_LIMIT).replay_at[0] == 5
+        assert machine._context(machine.DEFAULT_LEN_LIMIT).replay_at == 5
+
+
+# ---------------------------------------------------------------------------
+# the due-rank replay asks only what the memo cannot answer
+# ---------------------------------------------------------------------------
+
+
+def memos(ctx) -> tuple[dict, dict]:
+    """_machine, and _v on the programs the due-rank replay asks about: the
+    full replay also asks about longer programs, which V rejects outright."""
+    return ctx._machine, {p: st for p, st in ctx._v.items() if len(p) <= ctx.len_limit}
+
+
+MEMO_STAGES = [0, 1, 5, 64, 777, 4096, 2**14, REPLAY_TOP]
+
+
+@pytest.mark.parametrize("len_limit", REPLAY_LIMITS)
+@pytest.mark.parametrize("order", ["rising", "falling"])
+def test_due_ranks_leave_the_full_replays_memos(len_limit, order) -> None:
+    # every pair the heap skips is a memo hit, which writes nothing
+    stages = MEMO_STAGES if order == "rising" else MEMO_STAGES[::-1]
+    reached, full = -1, None
+    with fresh_universes():
+        for stage in stages:
+            events = list(dovetail_events(stage, len_limit))
+            if stage > reached:  # the shared replay has now asked up to stage
+                reached, full = stage, replay_events(stage, len_limit)
+            full_events, full_ctx = full
+            assert events == [e for e in full_events if e.stage < stage], stage
+            assert memos(machine._context(len_limit)) == memos(full_ctx), stage
+
+
+class AskCountingContext(machine._Context):
+    """Counts V's top-level asks, and those the memo could not answer;
+    the asks made from inside a status are left out."""
+
+    def __init__(self, len_limit: int, code_table):
+        super().__init__(len_limit, code_table)
+        self.asks = self.misses = self.depth = 0
+
+    def v_status(self, prog: str, cap: int):
+        if not self.depth:
+            self.asks += 1
+            self.misses += machine._cached(self._v, prog, cap) is None
+        self.depth += 1
+        try:
+            return super().v_status(prog, cap)
+        finally:
+            self.depth -= 1
+
+
+def test_due_ranks_match_the_full_replay_between_queries(monkeypatch) -> None:
+    # the witness sweeps of prefix_k and plain_c refine the memos the replay
+    # reads between advances, so a due rank can come up already answered:
+    # 49 do by 4096, and from 9000 on all do.  Such a rank is not asked
+    monkeypatch.setattr(machine, "_Context", AskCountingContext)
+    steps = [
+        (64, lambda: prefix_k("0000", 12, 200)),
+        (4096, lambda: plain_c("10101", 12, 300)),
+        (9000, lambda: prefix_k("1101", 12, 600)),
+        (40_000, lambda: plain_c("", 12, 50)),
+        (REPLAY_TOP, lambda: None),
+    ]
+
+    def run(replay):
+        with fresh_universes():
+            ctx = machine._context(12)
+            seen, asked = [], []
+            for stage, query in steps:
+                asks, misses = ctx.asks, ctx.misses
+                seen.append((replay(ctx, stage), ctx.misses - misses))
+                asked.append(ctx.asks - asks)
+                query()
+            return seen, memos(ctx), asked
+
+    *due, due_asks = run(lambda ctx, stage: list(dovetail_events(stage, 12)))
+    *full, _ = run(lambda ctx, stage: replay_events(stage, 12, ctx)[0])
+    assert due == full
+    assert due_asks == [misses for _, misses in due[0]] == [20, 80, 0, 0, 0]
+
+
+def test_the_replay_asks_only_what_its_memo_cannot_answer(monkeypatch) -> None:
+    # asking every pair took 65,536 asks to 2^16 and 1,048,576 to 2^20
+    monkeypatch.setattr(machine, "_Context", AskCountingContext)
+    full = replay_events(2**16, 12)[1]
+    assert (full.asks, full.misses) == (2**16, 6401)
+    with fresh_universes():
+        ctx = machine._context(12)
+        list(dovetail_events(2**16, 12))
+        assert (ctx.asks, ctx.misses) == (6401, 6401)
+        list(dovetail_events(2**20, 12))
+        assert (ctx.asks, ctx.misses) == (80_809, 80_809)
+
+
+def test_a_settled_universe_yields_its_exact_omega_at_any_stage() -> None:
+    # every rank of length <= 8 leaves the heap by ordinal 41,261, so a later
+    # stage asks nothing: Omega_8 = 99/128, the settled table's value
+    with fresh_universes():
+        estimate = omega_lower_bound(10**15, 8)
+        ctx = machine._context(8)
+        assert estimate.lower_bound == Dyadic(99, 7)
+        assert len(estimate.halted) == 12 and ctx.events[-1].stage == 41_260
+        assert ctx._due == [] and ctx.replay_at == 10**15
+        assert omega_lower_bound(41_261, 8).halted == estimate.halted
+        assert omega_lower_bound(41_260, 8).lower_bound < estimate.lower_bound
