@@ -67,7 +67,9 @@ class Dyadic:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _aligned(self, other: "Dyadic") -> tuple[int, int, int]:
+    def _aligned(self, other: "Dyadic | int") -> tuple[int, int, int]:
+        if not isinstance(other, Dyadic):
+            other = Dyadic(other)
         scale = max(self.scale, other.scale)
         return (
             self.num << (scale - self.scale),
@@ -75,23 +77,19 @@ class Dyadic:
             scale,
         )
 
-    def __add__(self, other: "Dyadic") -> "Dyadic":
+    def __add__(self, other: "Dyadic | int") -> "Dyadic":
         a, b, scale = self._aligned(other)
         return Dyadic(a + b, scale)
 
-    def __sub__(self, other: "Dyadic") -> "Dyadic":
+    def __sub__(self, other: "Dyadic | int") -> "Dyadic":
         a, b, scale = self._aligned(other)
         if a < b:
             raise ValueError("dyadic subtraction went negative")
         return Dyadic(a - b, scale)
 
-    def _cmp(self, other: "Dyadic") -> int:
-        a, b, _ = self._aligned(self._coerce(other))
+    def _cmp(self, other: "Dyadic | int") -> int:
+        a, b, _ = self._aligned(other)
         return (a > b) - (a < b)
-
-    @staticmethod
-    def _coerce(value: "Dyadic | int") -> "Dyadic":
-        return value if isinstance(value, Dyadic) else Dyadic(value)
 
     def __lt__(self, other: "Dyadic | int") -> bool:
         return self._cmp(other) < 0

@@ -9,8 +9,8 @@ budgeted short program reached; since the budgeted relation is a subset of
 the true one, that count can only overstate incompressibility, which is the
 safe direction for the counting argument it implements.  A witness table is
 swept a length at a time, only as far as its reader needs; a bound query
-sweeps it to the end.  V's sweeps ask no program extending one that halts:
-V's domain is an antichain, so such a program is certified diverging.
+sweeps it to the end.  V's sweep descends only below programs proven to
+diverge (see _Sweep), and that one walk also records its short programs.
 
 Registry constants appearing in the classic inequalities (dispatch overhead
 of the identity, the echo self-delimiter, the pad and pair decoders) are
@@ -48,7 +48,8 @@ class ComplexityBound:
     `exhaustive` is True when every shorter program either halted (with some
     other output) or was certified diverging, so no larger budget can ever
     produce a shorter witness and `value` is the true complexity.  For V, a
-    program extending a halting one is certified by prefix-freeness and never
+    program extending a halting one is certified by prefix-freeness, and one
+    extending an unresolved one lies behind that shorter prefix; neither is
     asked.  The flag is read off the witness table's frontier, the first
     program in length-lex order left unresolved at the budget: the bound is
     exhaustive exactly when that program is no shorter than the witness.
@@ -117,49 +118,59 @@ def registry_constants() -> dict[str, int]:
 # ---------------------------------------------------------------------------
 
 
-def _v_level(ctx, level: list, budget: int) -> tuple[list, list]:
-    """V's (program, status) pairs on `level`, and the extensions of those not halting."""
-    statuses = [(p, ctx.v_status(p, budget)) for p in level]
-    return statuses, [p + bit for p, st in statuses if st[0] != "h" for bit in "01"]
-
-
 class _Sweep:
     """A witness table swept a length at a time: output -> first program, the
     first program left unresolved at the budget or None, the last length
-    swept, and V's next level (None once V's sweep reaches len_limit)."""
+    swept, V's next level (None once swept to len_limit) and V's short
+    programs, those as long as their output's first witness (None for U).
 
-    __slots__ = ("table", "frontier", "swept", "level")
+    V's next level holds the children of the programs proven ("d",) only.
+    A halting program's extensions diverge, as V's domain is an antichain.
+    If an extension 1^n 0 b x of an unresolved 1^n 0 b halted within the
+    budget, b x would be a comparable below the bound of b's guard walk, so
+    1^n 0 b would read "h" or "d", never "u"."""
 
-    def __init__(self):
+    __slots__ = ("table", "frontier", "swept", "level", "short")
+
+    def __init__(self, prefix: bool):
         self.table, self.frontier, self.swept, self.level = {}, None, -1, [""]
+        self.short = [] if prefix else None
 
     def step(self, ctx, prefix: bool, budget: int) -> None:
         """Sweep the next length; a raise while asking leaves the sweep as it was."""
         if prefix:
-            statuses, level = _v_level(ctx, self.level, budget)
-            self.level = level if self.swept + 1 < ctx.len_limit else None
+            statuses = [(p, ctx.v_status(p, budget)) for p in self.level]
+            last = self.swept + 1 == ctx.len_limit
+            self.level = None if last else [p + b for p, st in statuses if st[0] == "d" for b in "01"]
         else:
             statuses = [(p, ctx.u_status(p, budget)) for p in _spell(self.swept + 1)]
         self.swept += 1
         for p, st in statuses:
             if st[0] == "h":
-                self.table.setdefault(st[2], p)
+                if len(self.table.setdefault(st[2], p)) == len(p) and prefix:
+                    self.short.append(p)
             elif self.frontier is None and st[0] == "u":
                 self.frontier = p
 
 
-def _witness_table(prefix: bool, len_limit: int, budget: int, through: int | None = None):
-    """V's witness table if `prefix`, else U's, and its frontier, swept through
-    program length `through` or further (to `len_limit` by default)."""
+def _swept(prefix: bool, len_limit: int, budget: int, through: int | None = None) -> _Sweep:
+    """V's witness sweep if `prefix`, else U's, swept through program length
+    `through` or further (to `len_limit` by default)."""
     budget = _check_budget(budget)  # before the lookup: 1e5 == 100_000 as a key
     if len_limit < 0:
-        return {}, None  # no programs, and no universe to hold the table
+        return _Sweep(prefix)  # no programs, and no universe to hold the table
     ctx = _context(len_limit)
     sweep = ctx.tables.get((prefix, budget))
     if sweep is None:
-        sweep = ctx.tables[(prefix, budget)] = _Sweep()
+        sweep = ctx.tables[(prefix, budget)] = _Sweep(prefix)
     while sweep.swept < len_limit and (through is None or sweep.swept < through):
         sweep.step(ctx, prefix, budget)
+    return sweep
+
+
+def _witness_table(prefix: bool, len_limit: int, budget: int, through: int | None = None):
+    """The witness table and its frontier, swept as `_swept` sweeps them."""
+    sweep = _swept(prefix, len_limit, budget, through)
     return sweep.table, sweep.frontier
 
 
@@ -174,11 +185,11 @@ def _witnesses(prefix: bool, outputs, len_limit: int, budget: int) -> dict[str, 
 
 
 def _bound(b: str, prefix: bool, len_limit: int, budget: int) -> ComplexityBound | None:
-    table, frontier = _witness_table(prefix, len_limit, budget)
-    witness = table.get(_check_bits(b))
+    sweep = _swept(prefix, len_limit, budget)  # per query: skip _witness_table's frame
+    witness = sweep.table.get(_check_bits(b))
     if witness is None:
         return None
-    exhaustive = frontier is None or len(frontier) >= len(witness)
+    exhaustive = sweep.frontier is None or len(sweep.frontier) >= len(witness)
     return ComplexityBound(len(witness), witness, budget, len_limit, exhaustive)
 
 
@@ -361,11 +372,4 @@ def budget_short_programs(
     Membership is budget-relative: a larger budget can reveal a shorter
     program for the same output and evict an entry.
     """
-    table, _ = _witness_table(True, len_limit, budget)  # refuses a bad budget first
-    if len_limit < 0:
-        return []
-    ctx, budget, level, short = _context(len_limit), _check_budget(budget), [""], []
-    for _ in range(len_limit + 1):
-        statuses, level = _v_level(ctx, level, budget)
-        short += [p for p, st in statuses if st[0] == "h" and len(table[st[2]]) == len(p)]
-    return short
+    return list(_swept(True, len_limit, budget).short)

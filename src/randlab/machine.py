@@ -244,13 +244,12 @@ class _Context:
     (len_limit, installed code table) pair; its first-witness tables:
     (prefix, budget) -> complexity's sweep of that table, which advances a
     length at a time; and its dovetail replay: events in ordinal order,
-    masses[k] = the first k events' Kraft mass times 2^len_limit, the
-    ordinal where it stopped, and the due ranks, a heap in ordinal order of
-    (diagonal, rank j, program) at the first cap, diagonal - j, that the
-    program's _v entry does not answer.  Only ranks up to len_limit join."""
+    masses[k] = the first k events' Kraft mass times 2^len_limit, and the
+    due ranks, a heap in ordinal order of (diagonal, rank j, program) at the
+    first cap, diagonal - j, that the program's _v entry does not answer.
+    Only ranks up to len_limit join."""
 
-    __slots__ = ("len_limit", "code_table", "tables", "events", "masses", "replay_at",
-                 "_due", "_machine", "_v")
+    __slots__ = ("len_limit", "code_table", "tables", "events", "masses", "_due", "_machine", "_v")
 
     def __init__(self, len_limit: int, code_table: tuple[tuple[str, str], ...]):
         self.len_limit = len_limit
@@ -258,7 +257,6 @@ class _Context:
         self.tables: dict[tuple[bool, int], object] = {}
         self.events: list[DovetailEvent] = []
         self.masses = [0]
-        self.replay_at = 0
         self._due = [(1, 0, "")]  # rank 0 joins at diagonal 1
         self._machine: dict = {}
         self._v: dict = {}
@@ -459,12 +457,10 @@ class _Context:
                 continue
             heappop(due)  # settled: V diverges, or first halts on prog here
             if entry[0] == "h":
-                self.replay_at = ordinal + 1
                 outcome = BudgetedOutcome("halted", entry[2], s, s)
                 self.events.append(DovetailEvent(prog, ordinal, outcome))
                 self.masses.append(self.masses[-1] + (1 << (self.len_limit - len(prog))))
                 return True
-        self.replay_at = max(self.replay_at, stage)
         return False
 
     def events_below(self, stage: int):

@@ -173,6 +173,15 @@ def test_dyadic_properties_against_fraction(a, b, k) -> None:
     assert (a < k, a <= k, a > k, a >= k, a == k) == (fa < k, fa <= k, fa > k, fa >= k, fa == k)
     # an int on the left reaches Dyadic's reflected __gt__, __ge__, __lt__, __le__
     assert (k < a, k <= a, k > a, k >= a, k == a) == (k < fa, k <= fa, k > fa, k >= fa, k == fa)
+    # + and - take an int operand as the ordering does
+    assert as_fraction(a + k) == fa + k
+    if fa >= k:
+        assert as_fraction(a - k) == fa - k
+    else:
+        with pytest.raises(ValueError):
+            a - k
+    # any other operand is not equal, whatever its spelling
+    assert (Dyadic(1) == "1", a == str(a), a != str(a)) == (False, False, True)
     if fa == fb:
         assert (a.num, a.scale, hash(a)) == (b.num, b.scale, hash(b))
     if a == k:

@@ -211,7 +211,7 @@ def test_bounds_make_no_status_call_once_the_table_is_built(monkeypatch) -> None
         prefix_k(b, 8, BIG)
     assert calls == []
     # a cold sweep asks the universe once per program in length-lex order,
-    # and V's only below no program that halts
+    # and V's only below programs proven to diverge
     with fresh_universes():
         asked = [p for p, _ in runner_programs(True, 7, BIG)]
     assert len(asked) == 81  # of 255
@@ -235,7 +235,8 @@ def test_witness_tables_follow_the_installed_code_table(monkeypatch) -> None:
     assert len(asked) == 139  # of 511
     calls = spy_statuses(monkeypatch)
     # installing a table freed the default universes, so the table is swept
-    # again, once per program below no halting one, to the same answer
+    # again, once per program below only proven divergences, to the same
+    # answer
     assert prefix_k("111", 8, BIG) == plain
     assert calls == [("v_status", p, BIG) for p in asked]
 
@@ -641,16 +642,16 @@ def test_lengthened_map_constant() -> None:
 
 def runner_programs(prefix: bool, len_limit: int, budget: int):
     """The programs a sweep asks, in length-lex order, each with its public
-    runner outcome: every program for U; for V, every program that extends
-    no program seen halting, since V's domain is an antichain."""
+    runner outcome: every program for U; for V, every program each of whose
+    proper prefixes the public classifier said diverges."""
     runner = prefix_universal_run if prefix else universal_run
-    halted: set[str] = set()
+    diverging: set[str] = set()
     for p in all_strings(len_limit):
-        if prefix and any(p[:k] in halted for k in range(len(p))):
+        if prefix and not all(p[:k] in diverging for k in range(len(p))):
             continue
         out = runner(p, budget, len_limit)
-        if out.halted:
-            halted.add(p)
+        if prefix and prefix_universal_status(p, budget, len_limit) == "diverges":
+            diverging.add(p)
         yield p, out
 
 
@@ -793,15 +794,17 @@ def test_pruned_v_sweep_matches_the_full_sweep(len_limit, code_table) -> None:
 @pytest.mark.parametrize("code_table", [{}, SWEEP_TABLE], ids=["no-table", "table"])
 @pytest.mark.parametrize("len_limit", range(14))
 def test_no_extension_of_a_program_the_v_sweep_left_unresolved_halts(len_limit, code_table) -> None:
-    # the certificate a sweep that also skipped the extensions of unresolved
-    # programs would rest on: each extension within the length cap, asked at
+    # the certificate the V sweep rests on when it skips the extensions of
+    # unresolved programs: walking below every program that did not halt,
+    # each extension of an unresolved one within the length cap, asked at
     # the sweep's budget in a universe of its own, does not halt
     install_code_table(code_table)
     items = machine._REGISTRY.code_table
     for budget in (100, 10_000, BIG):
         ctx, level, swept = machine._Context(len_limit, items), [""], []
         for _ in range(len_limit + 1):
-            statuses, level = complexity._v_level(ctx, level, budget)
+            statuses = [(p, ctx.v_status(p, budget)) for p in level]
+            level = [p + bit for p, st in statuses if st[0] != "h" for bit in "01"]
             swept += statuses
         unresolved = [p for p, st in swept if st[0] == "u"]
         fresh = machine._Context(len_limit, items)
@@ -809,6 +812,20 @@ def test_no_extension_of_a_program_the_v_sweep_left_unresolved_halts(len_limit, 
             for e in all_strings(len_limit - len(p)):
                 if e:
                     assert fresh.v_status(p + e, budget)[0] != "h", (budget, p, e)
+
+
+def test_short_programs_read_the_swept_table(monkeypatch) -> None:
+    # one walk of V's program tree: once the table is swept, the short
+    # programs ask nothing (their own walk made 2,919 calls here), and a U
+    # sweep keeps no short programs, since nothing reads them
+    with fresh_universes():
+        prefix_k("", 13, BIG)
+        plain_c("", 13, BIG)
+        calls = spy_statuses(monkeypatch)
+        short = budget_short_programs(13, BIG)
+        assert calls == []
+        assert len(short) == 53
+        assert machine._context(13).tables[(False, BIG)].short is None
 
 
 def test_a_program_the_sweep_skipped_keeps_its_fresh_answer() -> None:
@@ -899,8 +916,8 @@ class Interrupted(Exception):
 @pytest.mark.parametrize("through", [None, 7])
 def test_a_sweep_a_raise_cut_short_resumes_as_a_cold_one(prefix, through, monkeypatch) -> None:
     # a raise on the second program asked at length 5 leaves the sweep at
-    # length 4; asking again sweeps on to the cold sweep's table, frontier
-    # and V's next level
+    # length 4; asking again sweeps on to the cold sweep's table, frontier,
+    # and V's next level and short programs
     name = "v_status" if prefix else "u_status"
     fn, asked = getattr(machine._Context, name), []
 
@@ -912,13 +929,16 @@ def test_a_sweep_a_raise_cut_short_resumes_as_a_cold_one(prefix, through, monkey
         return fn(self, prog, cap)
 
     def state(sweep) -> tuple:
-        return list(sweep.table.items()), sweep.frontier, sweep.swept, sweep.level
+        return list(sweep.table.items()), sweep.frontier, sweep.swept, sweep.level, sweep.short
 
     with fresh_universes():
         complexity._witness_table(prefix, 10, 100)
         cold = state(machine._context(10).tables[(prefix, 100)])
     if prefix:
         assert cold[3] is None  # a finished V sweep holds no level
+        assert cold[4] == budget_short_programs(10, 100)
+    else:
+        assert cold[4] is None  # nothing reads U's short programs
     with fresh_universes(), monkeypatch.context() as patch:
         patch.setattr(machine._Context, name, interrupt_once)
         with pytest.raises(Interrupted):

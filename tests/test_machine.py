@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import fresh_universes
-from randlab import machine
+from randlab import machine, omega
 from randlab.bitstr import all_strings, index_to_string, string_to_index
 from randlab.complexity import _witness_table, plain_c, prefix_k
 from randlab.machine import (
@@ -41,6 +41,7 @@ from randlab.machine import (
     clear_code_table,
     decode_machine,
     dovetail_domain,
+    dovetail_events,
     install_code_table,
     mapping_behavior,
     prefix_guard,
@@ -87,6 +88,33 @@ def test_decode_machine_total_over_small_indices() -> None:
 def test_decode_machine_rejects_negative() -> None:
     with pytest.raises(ValueError):
         decode_machine(-1)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda: run(decode_machine(0), "", BIG, -1),
+        lambda: universal_run("", BIG, -1),
+        lambda: prefix_universal_run("", BIG, -1),
+        lambda: universal_status("", BIG, -1),
+        lambda: prefix_universal_status("", BIG, -1),
+        lambda: dovetail_events(10, -1),
+        lambda: omega.omega_lower_bound(10, -1),
+        lambda: omega.halted_below(2, 10, -1),
+        lambda: omega.psi_reconstruct("", 10, -1),
+    ],
+    ids=[
+        "run", "universal_run", "prefix_universal_run", "universal_status",
+        "prefix_universal_status", "dovetail_events", "omega_lower_bound",
+        "halted_below", "psi_reconstruct",
+    ],
+)
+def test_machine_and_omega_entry_points_refuse_a_negative_len_limit(entry) -> None:
+    # there is no universe of programs of negative length to ask, or to make
+    with fresh_universes() as registry:
+        with pytest.raises(ValueError, match="len_limit must be nonnegative"):
+            entry()
+    assert registry.contexts == {}
 
 
 def test_short_encodings_are_all_malformed() -> None:
@@ -888,14 +916,16 @@ def test_cold_prefix_table_skips_the_splits_proven_dead(monkeypatch) -> None:
     # and 29,287 V queries when the divergence pass still called for a half
     # memoized ("d",); reading a memoized ("d",) saves calls, not guard walks.
     # 28,018 V queries, 8,894 pair evaluations and 18,059 guard walks while
-    # the sweep still asked the 13,464 programs below a halting one
+    # the sweep still asked the 13,464 programs below a halting one, and
+    # 7,075 guard walks while it still asked the programs below an
+    # unresolved one
     monkeypatch.setattr(machine, "_Context", CountingContext)
     with fresh_universes() as registry:
         prefix_k("", 13, BIG)
     (ctx,) = registry.contexts.values()
     assert 0 < ctx.v_calls <= 16_000
     assert 0 < ctx.pair_calls <= 8_000
-    assert ctx.walks == 7_075
+    assert ctx.walks == 7_065
 
 
 # ---------------------------------------------------------------------------

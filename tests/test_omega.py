@@ -320,8 +320,12 @@ def test_replay_extends_only_as_far_as_consumed() -> None:
     # the first event is "0" at ordinal 4; neither call may replay past it
     with fresh_universes():
         assert psi_reconstruct("", 10**15) == frozenset()
-        assert next(dovetail_events(10**15)).program == "0"
-        assert machine._context(machine.DEFAULT_LEN_LIMIT).replay_at == 5
+        first = next(dovetail_events(10**15))
+        ctx = machine._context(machine.DEFAULT_LEN_LIMIT)
+        assert (first.program, first.stage) == ("0", 4) and ctx.events == [first]
+        # the pair at the heap's head, (diagonal 3, rank 2), is ordinal 5
+        diagonal, j, _ = ctx._due[0]
+        assert diagonal * (diagonal - 1) // 2 + j == 5
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +428,6 @@ def test_a_settled_universe_yields_its_exact_omega_at_any_stage() -> None:
         ctx = machine._context(8)
         assert estimate.lower_bound == Dyadic(99, 7)
         assert len(estimate.halted) == 12 and ctx.events[-1].stage == 41_260
-        assert ctx._due == [] and ctx.replay_at == 10**15
+        assert ctx._due == [] and len(ctx.events) == 12
         assert omega_lower_bound(41_261, 8).halted == estimate.halted
         assert omega_lower_bound(41_260, 8).lower_bound < estimate.lower_bound
