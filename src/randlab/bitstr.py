@@ -81,11 +81,16 @@ class Dyadic:
         a, b, scale = self._aligned(other)
         return Dyadic(a + b, scale)
 
+    __radd__ = __add__
+
     def __sub__(self, other: "Dyadic | int") -> "Dyadic":
         a, b, scale = self._aligned(other)
         if a < b:
             raise ValueError("dyadic subtraction went negative")
         return Dyadic(a - b, scale)
+
+    def __rsub__(self, other: int) -> "Dyadic":
+        return Dyadic(other) - self
 
     def _cmp(self, other: "Dyadic | int") -> int:
         a, b, _ = self._aligned(other)

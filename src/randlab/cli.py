@@ -28,7 +28,7 @@ import json
 import sys
 from collections.abc import Iterable
 
-from .bitstr import _check_bits, all_strings, index_to_string
+from .bitstr import Dyadic, _check_bits, all_strings, index_to_string
 from .complexity import (
     PAD_SCAN_LIMIT,
     census_incompressible,
@@ -42,6 +42,7 @@ from .complexity import (
 from .machine import (
     DEFAULT_BUDGET,
     DEFAULT_LEN_LIMIT,
+    dovetail_events,
     registry_fingerprint,
 )
 from .mltest import (
@@ -55,7 +56,7 @@ from .mltest import (
     universal_test,
     validate_sense1,
 )
-from .omega import _stage_replay, psi_reconstruct
+from .omega import psi_reconstruct
 from .prefixfree import cover_measure, is_prefix_free, kraft_code, kraft_sum, prefix_freeize
 
 DEFAULT_STAGE = 4096
@@ -250,11 +251,12 @@ def _cmd_omega(args) -> int:
             )
         _emit(args, ["program"], [(spell(p),) for p in _canonical(halted)])
         return 0
-    events, bounds = _stage_replay(args.stage, args.len_limit)
+    events = list(dovetail_events(args.stage, args.len_limit))
+    bounds = itertools.accumulate(Dyadic(1, len(e.program)) for e in events)
     rows = [
         (spell(e.program), e.stage, e.outcome.status, spell(e.outcome.output))
         + (running, running.decimal())
-        for e, running in zip(events, bounds[1:])
+        for e, running in zip(events, bounds)
     ]
     columns = ["program", "stage", "status", "output", "lower_bound", "lower_bound_decimal"]
     _emit(args, columns, rows)

@@ -205,14 +205,16 @@ def _finite_status(table: tuple[tuple[str, str], ...], inp: str, cap: int):
 # costs, and, when no split wins, at cap - 1 for only the splits that round
 # left open) or on structurally smaller input (pad), so evaluation
 # terminates.  A proven divergence carries no cap: a memoized ("d",) answers
-# every cap, so a split with a "d" half is dead for good, and a warm context
-# may say ("d",) where a fresh one at a smaller cap still says ("u", cap).
-# Both are true.  Most probes meet such a ("d",), so the pair split loop, its
-# cap - 1 divergence pass and the guard walk over pad or pair read it from the
-# memo instead of calling:
-# a dead probe never wins a split or a walk and never leaves one open, so
-# skipping it saves the call and nothing else.  Every other probe is a call
-# through the memo rule below.
+# every cap, so a warm context may say ("d",) where a fresh one at a smaller
+# cap still says ("u", cap).  Both are true.  Most probes meet such a ("d",),
+# and a dead probe never wins a split or a walk and never leaves one open, so
+# two places read it from the memo instead of calling.  The pair machine halts
+# on a split only when both halves halt, so a split with either half memoized
+# ("d",) is dead for good: one filter drops those splits before either pass,
+# and a half proven dead later is answered by _cached inside v_status.  The
+# guard walk over pad or pair skips a comparable memoized ("d",) under
+# _MEMO_TAGS.  Every other probe is a call through the memo rule below.
+_MEMO_TAGS = {REG_PAD: "pad", REG_PAIR: "pair"}
 
 
 def _cached(memo: dict, key, cap: int):
@@ -247,7 +249,9 @@ class _Context:
     masses[k] = the first k events' Kraft mass times 2^len_limit, and the
     due ranks, a heap in ordinal order of (diagonal, rank j, program) at the
     first cap, diagonal - j, that the program's _v entry does not answer.
-    Only ranks up to len_limit join."""
+    Only ranks up to len_limit join.  A memoized ("d",) is read by hand in
+    two places only: the pair machine's live-split filter and the guard
+    walk's skip, as the status-engine comment says."""
 
     __slots__ = ("len_limit", "code_table", "tables", "events", "masses", "_due", "_machine", "_v")
 
@@ -313,18 +317,13 @@ class _Context:
         base = len(s) + 1
         room = (cap - base) // 2  # rounds t <= room fit under the cap
         top = 1 << (room.bit_length() - 1) if room > 0 else 0
-        wins = []
-        open_splits = [] if top else range(len(s) + 1)  # no half proven "d"
         v = self._v
-        for i in range(len(s) + 1 if top else 0):
-            left = v.get(s[:i])
-            if left != ("d",):
-                left = self.v_status(s[:i], top)
-            right = left
+        live = [i for i in range(base) if v.get(s[:i]) != ("d",) and v.get(s[i:]) != ("d",)]
+        wins, open_splits = [], [] if top else live
+        for i in live if top else ():
+            right = left = self.v_status(s[:i], top)
             if left[0] == "h":
-                right = v.get(s[i:])
-                if right != ("d",):
-                    right = self.v_status(s[i:], top)
+                right = self.v_status(s[i:], top)
             if right[0] == "h":
                 t = 1 << (max(left[1], right[1], 1) - 1).bit_length()
                 wins.append((t, i, left[2] + right[2]))
@@ -334,10 +333,7 @@ class _Context:
             t, i, out = min(wins)
             status = ("h", 2 * t + i + base, out)
         elif cap >= 2 and all(
-            v.get(s[:i]) == ("d",)
-            or self.v_status(s[:i], cap - 1)[0] == "d"
-            or v.get(s[i:]) == ("d",)
-            or self.v_status(s[i:], cap - 1)[0] == "d"
+            self.v_status(s[:i], cap - 1)[0] == "d" or self.v_status(s[i:], cap - 1)[0] == "d"
             for i in open_splits
         ):
             status = ("d",)
@@ -392,7 +388,7 @@ class _Context:
         # halt); each comparable is probed at bound - 1 - j, so a halt there
         # finishes below bound and wins, and a tie keeps the lower rank.  A
         # "u" or the early stop only matters when nothing has won.
-        tag = {REG_PAD: "pad", REG_PAIR: "pair"}.get(machine.registry_id)
+        tag = _MEMO_TAGS.get(machine.registry_id)
         best, bound, unresolved = None, cap + 1, False
         for j, c in self._comparables(b, cap):
             if j >= bound - 1:

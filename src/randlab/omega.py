@@ -9,16 +9,16 @@ arithmetic over an explicit finite set of witnesses, and it is relative to
 this machine, so estimates carry the registry fingerprint.
 
 Each universe keeps one dovetail replay, shared by every function here and
-extended only on demand: its events in ordinal order and their running Kraft
-masses.  Once V halts or provably diverges on every program up to
-len_limit, the universe is settled: any later stage returns at once, with
-the exact halting probability of those programs.  A stage's bound and
-halted_below read the events through dovetail_events and sum them with
-kraft_sum.  psi_reconstruct bisects the masses for the first event whose
-mass exceeds a candidate lower-bound prefix read as a dyadic value, and
-reports the halted programs no longer than it.  When the value really is a
-lower-bound prefix of the halting probability, every program of that length
-class must have appeared by the crossing point.
+by the CLI's omega table, and extended only on demand: its events in ordinal
+order and their running Kraft masses.  Once V halts or provably diverges on
+every program up to len_limit, the universe is settled: any later stage
+returns at once, with the exact halting probability of those programs.  A
+stage's bound and halted_below read the events through dovetail_events and
+sum them with kraft_sum.  Only psi_reconstruct reads the masses: it bisects
+them for the first event whose mass exceeds a candidate lower-bound prefix
+read as a dyadic value, and reports the halted programs no longer than it.
+When the value really is a lower-bound prefix of the halting probability,
+every program of that length class must have appeared by the crossing point.
 """
 
 from __future__ import annotations
@@ -41,14 +41,6 @@ class OmegaEstimate:
     stage: int
     halted: frozenset[str]
     fingerprint: str
-
-
-def _stage_replay(stage: int, len_limit: int) -> tuple[list, list[Dyadic]]:
-    """The CLI table's rows: the replay's events below ordinal `stage`, and
-    the running lower bound before and after each of them."""
-    ctx = _context(len_limit)
-    events = list(ctx.events_below(stage))
-    return events, [Dyadic(m, len_limit) for m in ctx.masses[: len(events) + 1]]
 
 
 def omega_lower_bound(stage: int, len_limit: int = DEFAULT_LEN_LIMIT) -> OmegaEstimate:

@@ -180,6 +180,14 @@ def test_dyadic_properties_against_fraction(a, b, k) -> None:
     else:
         with pytest.raises(ValueError):
             a - k
+    # an int on the left reaches the reflected __radd__ and __rsub__, so sum() works
+    assert as_fraction(k + a) == k + fa
+    if k >= fa:
+        assert as_fraction(k - a) == k - fa
+    else:
+        with pytest.raises(ValueError):
+            k - a
+    assert as_fraction(sum([a, b, a])) == fa + fb + fa
     # any other operand is not equal, whatever its spelling
     assert (Dyadic(1) == "1", a == str(a), a != str(a)) == (False, False, True)
     if fa == fb:

@@ -509,6 +509,18 @@ def test_subadditivity_small_exhaustive() -> None:
     assert report.plain_gap_max == -1
 
 
+def test_subadditivity_lists_every_pair_program_with_a_wrong_output(monkeypatch) -> None:
+    # a pair program that halts with the wrong output is a violation
+    wrong = machine.BudgetedOutcome("halted", "", 1, 1)
+    monkeypatch.setattr(complexity, "prefix_universal_run", lambda prog, budget, len_limit: wrong)
+    strings = list(all_strings(1))
+    report = subadditivity_probe(1, 12)
+    assert report.prefix_pairs == 9
+    assert report.prefix_violations == tuple(
+        (a, b) for a, b in itertools.product(strings, strings) if a + b
+    )
+
+
 def test_subadditivity_pair_witness_runs() -> None:
     # reproduce one table entry end to end: the pair program for ("0", "1")
     a = prefix_k("0", 13, BIG)

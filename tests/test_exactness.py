@@ -11,12 +11,15 @@ keeps memo state in the universe that owns it: the only process-wide
 spelling of a ``Dyadic``: the only f-string that reads both a ``.num`` and a
 ``.scale`` is the one in ``Dyadic.__str__``.  A fifth keeps the reference
 interpreter in ``tests/reference.py`` independent of the engine it checks: it
-imports nothing from ``randlab``.
+imports nothing from ``randlab``.  A sixth holds the declared Python floor:
+every module parses with the grammar of Python 3.10, the oldest version
+``pyproject.toml`` accepts.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -215,3 +218,20 @@ def test_the_lint_sees_every_randlab_import() -> None:
 def test_the_reference_imports_nothing_from_randlab() -> None:
     # it checks the engine only while it shares none of the engine's code
     assert randlab_imports(ast.parse(REFERENCE.read_text(encoding="utf-8"))) == []
+
+
+PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
+FLOOR = re.search(r'requires-python = ">=(\d+)\.(\d+)"', PYPROJECT.read_text(encoding="utf-8"))
+PYTHON_FLOOR = tuple(int(part) for part in FLOOR.groups())
+
+
+def test_the_floor_lint_sees_newer_grammar() -> None:
+    snippet = "try:\n    pass\nexcept* ValueError:\n    pass\n"
+    ast.parse(snippet)
+    with pytest.raises(SyntaxError):
+        ast.parse(snippet, feature_version=PYTHON_FLOOR)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_source_parses_at_the_python_floor(path: Path) -> None:
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=PYTHON_FLOOR)

@@ -918,14 +918,32 @@ def test_cold_prefix_table_skips_the_splits_proven_dead(monkeypatch) -> None:
     # 28,018 V queries, 8,894 pair evaluations and 18,059 guard walks while
     # the sweep still asked the 13,464 programs below a halting one, and
     # 7,075 guard walks while it still asked the programs below an
-    # unresolved one
+    # unresolved one.
+    # 15,796 V queries, 7,985 pair evaluations and 7,065 guard walks while
+    # the split loop asked a left half before it read its right half's
+    # ("d",); a split with either half memoized ("d",) is now never asked
     monkeypatch.setattr(machine, "_Context", CountingContext)
     with fresh_universes() as registry:
         prefix_k("", 13, BIG)
     (ctx,) = registry.contexts.values()
-    assert 0 < ctx.v_calls <= 16_000
-    assert 0 < ctx.pair_calls <= 8_000
-    assert ctx.walks == 7_065
+    assert (ctx.v_calls, ctx.pair_calls, ctx.walks) == (8_190, 8_024, 4_159)
+
+
+def test_a_split_whose_right_half_is_dead_never_asks_its_left_half() -> None:
+    # the pair machine halts on a split only when both halves halt, so a
+    # memoized ("d",) on either half kills the split before V is asked; "0"
+    # is a half of the split 0 * 1 only
+    asked = []
+
+    class LoggingContext(machine._Context):
+        def v_status(self, prog: str, cap: int):
+            asked.append(prog)
+            return ("u", cap)
+
+    ctx = LoggingContext(12, ())
+    ctx._v["1"] = ("d",)
+    assert ctx._pair_status("01", BIG) == ("u", BIG)
+    assert asked and "0" not in asked
 
 
 # ---------------------------------------------------------------------------
@@ -1168,6 +1186,17 @@ def test_run_rejects_bad_arguments() -> None:
         run(decode_machine(0), "21", 10)
     with pytest.raises(ValueError):
         run(decode_machine(0), "0", -1)
+
+
+@pytest.mark.parametrize("wrap", [lambda behavior: behavior, prefix_guard], ids=["bare", "guarded"])
+@pytest.mark.parametrize(
+    "behavior",
+    [MachineBehavior("registry-native", registry_id=REGISTRY_SIZE), MachineBehavior("bogus")],
+    ids=["registry-id-5", "unknown-kind"],
+)
+def test_run_rejects_behaviors_outside_the_enumeration(wrap, behavior) -> None:
+    with pytest.raises(ValueError):
+        run(wrap(behavior), "0", 10)
 
 
 @pytest.mark.parametrize(
