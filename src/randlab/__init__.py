@@ -5,182 +5,21 @@ pair, budgeted complexity searches, halting-mass lower bounds, and
 Martin-Löf tests, plus a deterministic report-emitting CLI.
 """
 
-from __future__ import annotations
-
-from .bitstr import (
-    DYADIC_ONE,
-    DYADIC_ZERO,
-    Dyadic,
-    all_strings,
-    bits_of,
-    index_to_string,
-    is_prefix,
-    parse_dyadic,
-    string_to_index,
-    value_of,
-)
-from .complexity import (
-    PAD_SCAN_LIMIT,
-    ComplexityBound,
-    PadWitness,
-    SubadditivityReport,
-    budget_short_programs,
-    census_incompressible,
-    horizon_search,
-    pad_witness,
-    plain_c,
-    prefix_k,
-    registry_constants,
-    subadditivity_probe,
-)
-from .machine import (
-    DEFAULT_BUDGET,
-    DEFAULT_LEN_LIMIT,
-    REG_CODE_TABLE,
-    REG_ECHO,
-    REG_IDENTITY,
-    REG_PAD,
-    REG_PAIR,
-    REGISTRY_NAMES,
-    REGISTRY_SIZE,
-    BudgetedOutcome,
-    DovetailEvent,
-    MachineBehavior,
-    clear_code_table,
-    current_code_table,
-    decode_machine,
-    dovetail_domain,
-    dovetail_events,
-    install_code_table,
-    mapping_behavior,
-    prefix_guard,
-    prefix_universal_run,
-    prefix_universal_status,
-    registry_fingerprint,
-    run,
-    universal_run,
-    universal_status,
-)
-from .mltest import (
-    DEFAULT_DEPTH,
-    DEFAULT_K_LEN_LIMIT,
-    BridgeMassError,
-    BridgeResult,
-    DeficiencyReport,
-    LevelVerdict,
-    Sense1Test,
-    Sense2Test,
-    builtin_tests,
-    chain,
-    compression_test,
-    level_sense1,
-    ml_to_kc_decoder,
-    normalize,
-    registered_tests,
-    score,
-    sense1_to_sense2,
-    sense2_to_sense1,
-    universal_test,
-    validate_sense1,
-)
-from .omega import OmegaEstimate, halted_below, omega_lower_bound, psi_reconstruct
-from .prefixfree import (
-    KraftOverflowError,
-    cover_measure,
-    is_prefix_free,
-    kraft_code,
-    kraft_code_stream,
-    kraft_sum,
-    prefix_freeize,
-)
+from .bitstr import *
+from .prefixfree import *
+from .machine import *
+from .complexity import *
+from .omega import *
+from .mltest import *
 
 __all__ = [
     "__version__",
-    # exact dyadic scalars and the length-lex enumeration
-    "Dyadic",
-    "DYADIC_ZERO",
-    "DYADIC_ONE",
-    "parse_dyadic",
-    "index_to_string",
-    "string_to_index",
-    "all_strings",
-    "is_prefix",
-    "value_of",
-    "bits_of",
-    # antichains, covers, Kraft coding
-    "KraftOverflowError",
-    "is_prefix_free",
-    "kraft_sum",
-    "prefix_freeize",
-    "cover_measure",
-    "kraft_code_stream",
-    "kraft_code",
-    # the machine pair and its registry
-    "REG_IDENTITY",
-    "REG_PAD",
-    "REG_PAIR",
-    "REG_ECHO",
-    "REG_CODE_TABLE",
-    "REGISTRY_SIZE",
-    "REGISTRY_NAMES",
-    "DEFAULT_LEN_LIMIT",
-    "DEFAULT_BUDGET",
-    "MachineBehavior",
-    "BudgetedOutcome",
-    "DovetailEvent",
-    "decode_machine",
-    "mapping_behavior",
-    "prefix_guard",
-    "install_code_table",
-    "clear_code_table",
-    "current_code_table",
-    "registry_fingerprint",
-    "run",
-    "universal_run",
-    "prefix_universal_run",
-    "universal_status",
-    "prefix_universal_status",
-    "dovetail_events",
-    "dovetail_domain",
-    # budgeted complexity searches
-    "PAD_SCAN_LIMIT",
-    "ComplexityBound",
-    "PadWitness",
-    "SubadditivityReport",
-    "registry_constants",
-    "plain_c",
-    "prefix_k",
-    "census_incompressible",
-    "pad_witness",
-    "horizon_search",
-    "subadditivity_probe",
-    "budget_short_programs",
-    # halting-mass lower bounds
-    "OmegaEstimate",
-    "omega_lower_bound",
-    "halted_below",
-    "psi_reconstruct",
-    # Martin-Löf tests and bridges
-    "DEFAULT_DEPTH",
-    "DEFAULT_K_LEN_LIMIT",
-    "Sense1Test",
-    "Sense2Test",
-    "LevelVerdict",
-    "DeficiencyReport",
-    "BridgeResult",
-    "BridgeMassError",
-    "builtin_tests",
-    "registered_tests",
-    "validate_sense1",
-    "level_sense1",
-    "sense1_to_sense2",
-    "sense2_to_sense1",
-    "normalize",
-    "chain",
-    "universal_test",
-    "compression_test",
-    "ml_to_kc_decoder",
-    "score",
+    *bitstr.__all__,  # exact dyadic scalars and the length-lex enumeration
+    *prefixfree.__all__,  # antichains, covers, Kraft coding
+    *machine.__all__,  # the machine pair and its registry
+    *complexity.__all__,  # budgeted complexity searches
+    *omega.__all__,  # halting-mass lower bounds
+    *mltest.__all__,  # Martin-Löf tests and bridges
 ]
 
 __version__ = "0.1.0"

@@ -24,6 +24,11 @@ from functools import total_ordering
 from itertools import chain
 from typing import Iterator
 
+__all__ = [
+    "Dyadic", "DYADIC_ZERO", "DYADIC_ONE", "parse_dyadic", "index_to_string",
+    "string_to_index", "all_strings", "is_prefix", "value_of", "bits_of",
+]
+
 _ALPHABET = frozenset("01")
 _DECIMAL_MAX_SCALE = 64  # Dyadic.decimal renders no finer scale
 

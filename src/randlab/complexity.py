@@ -38,6 +38,12 @@ from .machine import (
 )
 from .prefixfree import cover_measure
 
+__all__ = [
+    "PAD_SCAN_LIMIT", "ComplexityBound", "PadWitness", "SubadditivityReport",
+    "registry_constants", "plain_c", "prefix_k", "census_incompressible", "pad_witness",
+    "horizon_search", "subadditivity_probe", "budget_short_programs",
+]
+
 PAD_SCAN_LIMIT = 256  # default program-length cap for pad_witness scans
 
 

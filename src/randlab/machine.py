@@ -64,6 +64,15 @@ from heapq import heappop, heappush, heapreplace
 from .bitstr import _check_bits, _spell, index_to_string, string_to_index
 from .prefixfree import is_prefix_free
 
+__all__ = [
+    "REG_IDENTITY", "REG_PAD", "REG_PAIR", "REG_ECHO", "REG_CODE_TABLE", "REGISTRY_SIZE",
+    "REGISTRY_NAMES", "DEFAULT_LEN_LIMIT", "DEFAULT_BUDGET", "MachineBehavior",
+    "BudgetedOutcome", "DovetailEvent", "decode_machine", "mapping_behavior", "prefix_guard",
+    "install_code_table", "clear_code_table", "current_code_table", "registry_fingerprint",
+    "run", "universal_run", "prefix_universal_run", "universal_status",
+    "prefix_universal_status", "dovetail_events", "dovetail_domain",
+]
+
 REG_IDENTITY = 0
 REG_PAD = 1
 REG_PAIR = 2
@@ -343,22 +352,16 @@ class _Context:
 
     # -- the prefix guard ---------------------------------------------------
 
-    def _comparables(self, b: str, limit: int):
-        """(rank, c) for each c comparable with b, through the first rank >= limit."""
+    def _comparables(self, b: str):
+        """(rank, c) for each c comparable with b, in rank order, spelled
+        only as they are taken: the guard walk decides where to stop."""
         rank = 0
         yield 0, ""
         for k in range(1, len(b) + 1):
-            if rank >= limit:
-                return
             rank = 2 * rank + (2 if b[k - 1] == "1" else 1)
             yield rank, b[:k]
-        last = rank
         for width in range(1, self.len_limit - len(b) + 1):
-            if last >= limit:
-                return
-            start = ((rank + 1) << width) - 1
-            last = max(start, min(start + (1 << width) - 1, limit))
-            yield from zip(range(start, last + 1), _spell(width, b))
+            yield from enumerate(_spell(width, b), ((rank + 1) << width) - 1)
 
     def guard_status(self, machine: MachineBehavior, b: str, cap: int):
         if machine.kind == "decoded-table" and machine.table is None:
@@ -390,7 +393,7 @@ class _Context:
         # "u" or the early stop only matters when nothing has won.
         tag = _MEMO_TAGS.get(machine.registry_id)
         best, bound, unresolved = None, cap + 1, False
-        for j, c in self._comparables(b, cap):
+        for j, c in self._comparables(b):
             if j >= bound - 1:
                 unresolved = True
                 break

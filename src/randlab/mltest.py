@@ -38,6 +38,14 @@ from .complexity import _compressible, prefix_k
 from .machine import DEFAULT_BUDGET, REG_CODE_TABLE, install_code_table
 from .prefixfree import _minimal, cover_measure, kraft_code
 
+__all__ = [
+    "DEFAULT_DEPTH", "DEFAULT_K_LEN_LIMIT", "Sense1Test", "Sense2Test", "LevelVerdict",
+    "DeficiencyReport", "BridgeResult", "BridgeMassError", "builtin_tests",
+    "registered_tests", "validate_sense1", "level_sense1", "sense1_to_sense2",
+    "sense2_to_sense1", "normalize", "chain", "universal_test", "compression_test",
+    "ml_to_kc_decoder", "score",
+]
+
 DEFAULT_DEPTH = 15
 # prefix searches need to see the echo witnesses of the strings they score
 DEFAULT_K_LEN_LIMIT = 13
@@ -114,12 +122,7 @@ def _even_position_ones(b: str) -> int | None:
 
 
 def _zeros_after_111(b: str) -> int | None:
-    if not b.startswith("111"):
-        return None
-    run = 0
-    while 3 + run < len(b) and b[3 + run] == "0":
-        run += 1
-    return run
+    return _leading_zeros(b[3:]) if b.startswith("111") else None
 
 
 def _count_101(b: str) -> int | None:

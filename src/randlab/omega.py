@@ -32,6 +32,8 @@ from .machine import (
 )
 from .prefixfree import kraft_sum
 
+__all__ = ["OmegaEstimate", "omega_lower_bound", "halted_below", "psi_reconstruct"]
+
 
 @dataclass(frozen=True)
 class OmegaEstimate:

@@ -17,6 +17,11 @@ from typing import Iterable, Iterator
 
 from .bitstr import Dyadic, DYADIC_ZERO, _check_bits
 
+__all__ = [
+    "KraftOverflowError", "is_prefix_free", "kraft_sum", "prefix_freeize", "cover_measure",
+    "kraft_code_stream", "kraft_code",
+]
+
 
 class KraftOverflowError(ValueError):
     """Raised when a requested codeword no longer fits inside [0, 1)."""

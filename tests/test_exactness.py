@@ -13,7 +13,10 @@ spelling of a ``Dyadic``: the only f-string that reads both a ``.num`` and a
 interpreter in ``tests/reference.py`` independent of the engine it checks: it
 imports nothing from ``randlab``.  A sixth holds the declared Python floor:
 every module parses with the grammar of Python 3.10, the oldest version
-``pyproject.toml`` accepts.
+``pyproject.toml`` accepts.  A seventh states each public name once:
+``randlab.__all__`` holds the 80 pinned names, each library module's
+``__all__`` names only what that module defines itself, and only
+``__init__.py`` uses ``import *``, to re-export those lists.
 """
 
 from __future__ import annotations
@@ -235,3 +238,96 @@ def test_the_floor_lint_sees_newer_grammar() -> None:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_source_parses_at_the_python_floor(path: Path) -> None:
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=PYTHON_FLOOR)
+
+
+# the package's public surface, as it stood when each module took its own __all__
+PUBLIC_NAMES = [
+    "BridgeMassError", "BridgeResult", "BudgetedOutcome", "ComplexityBound",
+    "DEFAULT_BUDGET", "DEFAULT_DEPTH", "DEFAULT_K_LEN_LIMIT", "DEFAULT_LEN_LIMIT",
+    "DYADIC_ONE", "DYADIC_ZERO", "DeficiencyReport", "DovetailEvent", "Dyadic",
+    "KraftOverflowError", "LevelVerdict", "MachineBehavior", "OmegaEstimate",
+    "PAD_SCAN_LIMIT", "PadWitness", "REGISTRY_NAMES", "REGISTRY_SIZE", "REG_CODE_TABLE",
+    "REG_ECHO", "REG_IDENTITY", "REG_PAD", "REG_PAIR", "Sense1Test", "Sense2Test",
+    "SubadditivityReport", "__version__", "all_strings", "bits_of", "budget_short_programs",
+    "builtin_tests", "census_incompressible", "chain", "clear_code_table",
+    "compression_test", "cover_measure", "current_code_table", "decode_machine",
+    "dovetail_domain", "dovetail_events", "halted_below", "horizon_search",
+    "index_to_string", "install_code_table", "is_prefix", "is_prefix_free", "kraft_code",
+    "kraft_code_stream", "kraft_sum", "level_sense1", "mapping_behavior",
+    "ml_to_kc_decoder", "normalize", "omega_lower_bound", "pad_witness", "parse_dyadic",
+    "plain_c", "prefix_freeize", "prefix_guard", "prefix_k", "prefix_universal_run",
+    "prefix_universal_status", "psi_reconstruct", "registered_tests", "registry_constants",
+    "registry_fingerprint", "run", "score", "sense1_to_sense2", "sense2_to_sense1",
+    "string_to_index", "subadditivity_probe", "universal_run", "universal_status",
+    "universal_test", "validate_sense1", "value_of",
+]
+
+
+def test_the_package_exports_the_pinned_names() -> None:
+    assert len(PUBLIC_NAMES) == 80
+    assert sorted(randlab.__all__) == PUBLIC_NAMES
+    assert len(set(randlab.__all__)) == len(randlab.__all__)
+    star: dict = {}
+    exec("from randlab import *", star)
+    for name in randlab.__all__:
+        assert star[name] is getattr(randlab, name), name
+
+
+def star_imports(tree: ast.AST) -> list[str]:
+    """The module named by every ``import *``, in source order."""
+    return [
+        node.module or ""
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and any(alias.name == "*" for alias in node.names)
+    ]
+
+
+def test_the_lint_sees_every_star_import() -> None:
+    snippet = (
+        "from os import *\nfrom .bitstr import *\nfrom . import machine\n"
+        "from .omega import psi_reconstruct\n"
+    )
+    assert star_imports(ast.parse(snippet)) == ["os", "bitstr"]
+    assert star_imports(ast.parse("import os\nfrom os.path import join as star\n")) == []
+
+
+LIBRARY = ["bitstr", "prefixfree", "machine", "complexity", "omega", "mltest"]
+
+
+def test_only_the_package_imports_star() -> None:
+    # each library module's __all__ is re-exported once, by __init__.py
+    found = [
+        (path.name, module)
+        for path in SOURCES
+        for module in star_imports(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert found == [("__init__.py", module) for module in LIBRARY]
+
+
+def own_definitions(tree: ast.Module) -> set[str]:
+    """The names a module binds at its top level by def, class or assignment;
+    the names it imports are not its own."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_the_lint_sees_every_own_definition() -> None:
+    snippet = (
+        "from .machine import DEFAULT_BUDGET\nimport json\nA = 1\nB: int = 2\n"
+        "C, (D, E) = 3, (4, 5)\ndef f():\n    G = 6\nclass H:\n    I = 7\n"
+    )
+    assert own_definitions(ast.parse(snippet)) == {"A", "B", "C", "D", "E", "f", "H"}
+
+
+@pytest.mark.parametrize("module", LIBRARY)
+def test_a_module_exports_only_what_it_defines(module: str) -> None:
+    tree = ast.parse(Path(randlab.__file__).with_name(f"{module}.py").read_text(encoding="utf-8"))
+    exported = getattr(randlab, module).__all__
+    assert len(set(exported)) == len(exported)
+    assert set(exported) <= own_definitions(tree), sorted(set(exported) - own_definitions(tree))

@@ -1002,7 +1002,7 @@ BEYOND = 1 << 64  # past every rank up to len_limit 62
 def test_comparables_match_the_string_indexed_oracle(len_limit) -> None:
     ctx = machine._Context(len_limit, ())
     for b in all_strings(10):
-        got = list(ctx._comparables(b, BEYOND))
+        got = list(ctx._comparables(b))
         assert got == list(string_indexed_comparables(b, len_limit)), b
 
 
@@ -1010,14 +1010,14 @@ def test_comparables_stay_lazy_on_long_limits() -> None:
     # subadd's contexts walk extensions up to width 26; never hold a level
     ctx = machine._Context(20, ())
     for b in all_strings(4):
-        got = itertools.islice(ctx._comparables(b, BEYOND), 5000)
+        got = itertools.islice(ctx._comparables(b), 5000)
         assert list(got) == list(itertools.islice(string_indexed_comparables(b, 20), 5000)), b
     ctx = machine._Context(60, ())
     for b in ("", "0", "1101"):
-        extensions = itertools.islice(ctx._comparables(b, BEYOND), len(b) + 1, None)
+        extensions = itertools.islice(ctx._comparables(b), len(b) + 1, None)
         assert next(extensions) == (string_to_index(b + "0"), b + "0")
     deep = "0" * 59  # one bit short of the limit: one level of extensions
-    assert list(ctx._comparables(deep, BEYOND))[-2:] == [
+    assert list(ctx._comparables(deep))[-2:] == [
         (string_to_index(deep + "0"), deep + "0"), (string_to_index(deep + "1"), deep + "1")
     ]
 
@@ -1032,7 +1032,8 @@ def through_first_at_or_past(pairs, limit: int) -> list:
 
 
 def test_bounded_comparables_stop_at_the_first_rank_at_or_past_the_limit(monkeypatch) -> None:
-    # the guard walk breaks at that rank, so no string past it is spelled
+    # the guard walk breaks at that rank, and the lazy generator spells no
+    # string past the last one taken
     spelled = Counter()
     real = machine._spell
 
@@ -1047,7 +1048,7 @@ def test_bounded_comparables_stop_at_the_first_rank_at_or_past_the_limit(monkeyp
     for b in all_strings(6):
         for limit in limits:
             spelled.clear()
-            got = list(ctx._comparables(b, limit))
+            got = through_first_at_or_past(ctx._comparables(b), limit)
             expected = through_first_at_or_past(string_indexed_comparables(b, 12), limit)
             assert got == expected, (b, limit)
             widths = Counter(len(c) - len(b) for _, c in got if len(c) > len(b))

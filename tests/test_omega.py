@@ -423,6 +423,37 @@ def test_the_replay_asks_only_what_its_memo_cannot_answer(monkeypatch) -> None:
         assert (ctx.asks, ctx.misses) == (80_809, 80_809)
 
 
+def derived_events(stage: int, len_limit: int) -> list[DovetailEvent]:
+    """The dovetailer derived from one ask per rank, in a universe of its
+    own.  The pairs below `stage` end on diagonal D: rank j's last pair has
+    cap D - j there, or D - j - 1 on diagonal D - 1 for a rank past the last
+    pair's.  V halting on rank j within that cap at cost t is the event at
+    ordinal(j, t), which is below `stage`; a rank still open has none."""
+    ctx = machine._Context(len_limit, ())
+    diagonal = 0
+    while diagonal * (diagonal + 1) // 2 < stage:
+        diagonal += 1
+    last = stage - 1 - diagonal * (diagonal - 1) // 2  # the last pair's rank
+    events = []
+    for j in range(min(diagonal, (2 << len_limit) - 1)):
+        prog = index_to_string(j)
+        status = ctx.v_status(prog, diagonal - j - (j > last))
+        if status[0] == "h":
+            outcome = BudgetedOutcome("halted", status[2], status[1], status[1])
+            events.append(DovetailEvent(prog, ordinal(j, status[1]), outcome))
+    return sorted(events, key=lambda event: event.stage)
+
+
+@pytest.mark.parametrize("len_limit", REPLAY_LIMITS)
+def test_one_ask_per_rank_at_its_last_cap_gives_the_replays_events(len_limit) -> None:
+    # statuses refine with the cap, so each rank's last pair below the stage
+    # decides whether and when it halted: the replay's per-diagonal asks add
+    # nothing to that one ask
+    with fresh_universes():
+        for stage in ORDER_STAGES:
+            assert derived_events(stage, len_limit) == list(dovetail_events(stage, len_limit)), stage
+
+
 def test_a_settled_universe_yields_its_exact_omega_at_any_stage() -> None:
     # every rank of length <= 8 leaves the heap by ordinal 41,261, so a later
     # stage asks nothing: Omega_8 = 99/128, the settled table's value
